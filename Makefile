@@ -52,7 +52,7 @@ BENCH_CLUSTER_OUT := BENCH_10.json
 # per key to average and mark significance, one run proves nothing.
 BENCH_COUNT ?= 5
 
-.PHONY: build test race vet bench bench-pe bench-sched bench-sched-smoke bench-hotpath bench-hotpath-smoke bench-obs bench-fused bench-fused-smoke bench-ckpt bench-ckpt-smoke bench-wire bench-wire-smoke bench-cluster bench-cluster-smoke benchstat fuzz fuzz-pe fuzz-wire fuzz-deque fuzz-obs fuzz-batch fuzz-ckpt chaos chaos-state chaos-cluster
+.PHONY: build test race vet bench bench-pe bench-sched bench-sched-smoke bench-hotpath bench-hotpath-smoke bench-obs bench-fused bench-fused-smoke bench-ckpt bench-ckpt-smoke bench-wire bench-wire-smoke bench-cluster bench-cluster-smoke bench-e2e-smoke benchstat fuzz fuzz-pe fuzz-wire fuzz-deque fuzz-obs fuzz-batch fuzz-ckpt chaos chaos-state chaos-cluster
 
 build:
 	$(GO) build ./...
@@ -239,3 +239,10 @@ bench-cluster:
 # cycle completes without aborts or duplicates, makes no timing claims.
 bench-cluster-smoke:
 	$(GO) test -run '^$$' -bench 'ClusterGrowShrink' -benchtime 1x ./internal/cluster/
+
+# The end-to-end benchmark under benchmark/ is a module of its own that
+# compiles against internal/... but that `go build ./...` and `go test ./...`
+# do not descend into: build it and run its short tests, so a rename here
+# that breaks the harness fails CI instead of the next benchmark run.
+bench-e2e-smoke:
+	cd benchmark && $(GO) test -short ./...

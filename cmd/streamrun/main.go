@@ -459,7 +459,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 		// Kill stream connections periodically — including streams that only
 		// come to exist through migrations (fresh stable ids). Kills are
 		// output-transparent: the importer resumes at its delivered watermark
-		// and the exporter replays from the retransmit ring.
+		// and the exporter replays from the block log.
 		inj = fault.New(rcfg.chaosSeed)
 		for sid := 0; sid < 16; sid++ {
 			inj.Arm(fault.ConnKill, sid, fault.Plan{EveryN: 5000, MaxFires: 3})
@@ -552,7 +552,7 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		// A canned chaos plan: kill the first stream's connection a few
 		// times during the run and panic an operator on the last PE until
 		// its budget trips. Everything downstream of the kill resumes from
-		// the retransmit ring; the panics exercise quarantine.
+		// the block log; the panics exercise quarantine.
 		inj.Arm(fault.ConnKill, 0, fault.Plan{EveryN: 5000, MaxFires: 3})
 		inj.Arm(fault.OpPanic, fault.OpSite(pes-1, 1), fault.Plan{EveryN: 500, MaxFires: 8})
 	}

@@ -112,10 +112,7 @@ func testPEOpts(inj *fault.Injector) pe.Options {
 	return pe.Options{
 		DisableElasticity: true,
 		Fault:             inj,
-		Transport: pe.TransportConfig{
-			BlockTimeout:       time.Minute,
-			RetransmitCapacity: 4096,
-		},
+		Transport:         pe.TransportConfig{BlockTimeout: time.Minute},
 		Exec: exec.Options{
 			MaxThreads:          1,
 			DisableWorkStealing: true,

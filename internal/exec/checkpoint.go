@@ -32,7 +32,7 @@ type CheckpointConfig struct {
 	Rewind func(to uint64)
 	// CommitFloor advances the transport's acknowledgement floor after an
 	// epoch commits: everything at or below the watermark is durable and
-	// may leave the sender's retransmit ring. Nil when acks are ungated.
+	// may leave the sender's retransmit window. Nil when acks are ungated.
 	CommitFloor func(wm uint64)
 }
 
@@ -54,6 +54,7 @@ type Checkpointer struct {
 	filter []bool              // per node; replay-filter ops skip recovery restores
 
 	recoverCh chan int
+	cutCh     chan struct{} // one pending RequestCut
 	stopCh    chan struct{}
 	doneCh    chan struct{}
 	started   bool
@@ -62,11 +63,13 @@ type Checkpointer struct {
 	// NewCheckpointer/Restore before Start).
 	epoch     uint64
 	sinceFull int
+	floor     uint64 // watermark last handed to CommitFloor
 	enc       state.Encoder
 
 	total     *obs.Counter
 	errors    *obs.Counter
 	skipped   *obs.Counter
+	pressure  *obs.Counter
 	restores  *obs.Counter
 	lastBytes *obs.Gauge
 	lastWM    *obs.Gauge
@@ -94,6 +97,7 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 		snaps:     make([]state.Snapshotter, n),
 		filter:    make([]bool, n),
 		recoverCh: make(chan int, n),
+		cutCh:     make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
@@ -118,6 +122,7 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 	c.total = r.Counter(obs.MetricCkptTotal, "Checkpoints committed.")
 	c.errors = r.Counter(obs.MetricCkptErrors, "Checkpoint append/commit/restore failures.")
 	c.skipped = r.Counter(obs.MetricCkptSkipped, "Checkpoints skipped while an operator was quarantined.")
+	c.pressure = r.Counter(obs.MetricCkptPressure, "Checkpoints committed early because the input transport's replay window filled.")
 	c.restores = r.Counter(obs.MetricCkptRestores, "State restores performed.")
 	c.lastBytes = r.Gauge(obs.MetricCkptLastBytes, "Snapshot bytes of the last committed checkpoint.")
 	c.lastWM = r.Gauge(obs.MetricCkptWatermark, "Input watermark of the last committed checkpoint.")
@@ -132,6 +137,34 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 // The channel holds one slot per node and the supervisor requests at most
 // one recovery per engagement, so the send never blocks.
 func (c *Checkpointer) requestRecover(node int) { c.recoverCh <- node }
+
+// RequestCut asks the run loop for one early incremental checkpoint, ahead of
+// the Interval tick — the input transport calls it when the bytes its sender
+// retains for replay pass the high-water mark (commit-on-pressure). It never
+// blocks and coalesces: requests arriving while one is pending or a cut is in
+// progress amount to a single further cut. The run loop ignores the request
+// while a stateful operator is quarantined (no cut can commit then).
+func (c *Checkpointer) RequestCut() {
+	select {
+	case c.cutCh <- struct{}{}:
+	default:
+	}
+}
+
+// quarantined reports whether any checkpointed operator is quarantined. It
+// reads the supervisor without the pause barrier, so it is only a cheap
+// pre-check; CheckpointNow repeats it exactly under the pause.
+func (c *Checkpointer) quarantined() bool {
+	if c.e.sup == nil {
+		return false
+	}
+	for i := range c.snaps {
+		if c.snaps[i] != nil && c.e.sup.nodes[i].until.Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Start launches the periodic checkpoint loop.
 func (c *Checkpointer) Start() {
@@ -176,6 +209,10 @@ func (c *Checkpointer) run() {
 				break
 			}
 			c.recover(nodes)
+		case <-c.cutCh:
+			if !c.quarantined() && c.CheckpointNow() {
+				c.pressure.Add(1)
+			}
 		case <-tick.C:
 			// Time-driven expiry: a quarantined stateful operator can have
 			// stalled its own input (see supervision.pollExpired), so the
@@ -213,15 +250,11 @@ func (c *Checkpointer) CheckpointNow() bool {
 	// would advance the watermark past input the operator never saw, and
 	// recovery from it would lose those tuples. Skip until it recovers.
 	// Exact under the pause: nothing quarantines or recovers mid-check.
-	if c.e.sup != nil {
-		for i := range c.snaps {
-			if c.snaps[i] != nil && c.e.sup.nodes[i].until.Load() != 0 {
-				c.e.resumeAll()
-				c.e.reconfigMu.Unlock()
-				c.skipped.Add(1)
-				return false
-			}
-		}
+	if c.quarantined() {
+		c.e.resumeAll()
+		c.e.reconfigMu.Unlock()
+		c.skipped.Add(1)
+		return false
 	}
 	var wm uint64
 	if c.cfg.Watermark != nil {
@@ -299,6 +332,7 @@ func (c *Checkpointer) CheckpointNow() bool {
 		c.sinceFull++
 	}
 	if c.cfg.CommitFloor != nil {
+		c.floor = wm
 		c.cfg.CommitFloor(wm)
 	}
 	c.total.Add(1)
@@ -412,16 +446,25 @@ func (c *Checkpointer) recover(nodes []int) {
 		}
 		wm = recs[len(recs)-1].Watermark
 	}
+	// The sender frees its window up to the committed floor as soon as it is
+	// acknowledged. The loaded records can trail the floor (the last epoch
+	// committed empty, or its records failed their CRC): replay from the
+	// floor then, the oldest point the sender still holds.
+	if wm < c.floor {
+		wm = c.floor
+	}
 	if c.cfg.Rewind != nil {
 		c.cfg.Rewind(wm)
 	}
-	c.e.resumeAll()
-	c.e.reconfigMu.Unlock()
+	// Release the operators before the engine resumes: a replayed tuple that
+	// met one still quarantined would be dropped for good.
 	if c.e.sup != nil {
 		for _, n := range nodes {
 			c.e.sup.finishRecovery(n)
 		}
 	}
+	c.e.resumeAll()
+	c.e.reconfigMu.Unlock()
 	c.restores.Add(1)
 	for _, n := range nodes {
 		c.e.rec.Record(obs.EvRestore, c.e.recPE, int64(n), int64(c.epoch), "quarantine")
@@ -433,6 +476,7 @@ type CheckpointStats struct {
 	Checkpoints  uint64 // epochs committed
 	Errors       uint64 // append/commit/restore failures
 	Skipped      uint64 // cuts skipped while an operator was quarantined
+	Pressure     uint64 // of Checkpoints, those taken early on transport pressure
 	Restores     uint64 // state restores (launch + quarantine recovery)
 	LastBytes    uint64 // snapshot bytes of the last committed epoch
 	Watermark    uint64 // input watermark of the last committed epoch
@@ -447,6 +491,7 @@ func (c *Checkpointer) Stats() CheckpointStats {
 		Checkpoints: c.total.Value(),
 		Errors:      c.errors.Value(),
 		Skipped:     c.skipped.Value(),
+		Pressure:    c.pressure.Value(),
 		Restores:    c.restores.Value(),
 		LastBytes:   uint64(c.lastBytes.Value()),
 		Watermark:   uint64(c.lastWM.Value()),

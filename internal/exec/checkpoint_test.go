@@ -404,3 +404,60 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.Run("1s", func(b *testing.B) { run(b, time.Second) })
 	b.Run("100ms", func(b *testing.B) { run(b, 100*time.Millisecond) })
 }
+
+// gatedStore holds every Commit until the test lets it through, so a cut can
+// be kept "in progress" for as long as the test needs.
+type gatedStore struct {
+	state.Store
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedStore) Commit(epoch uint64) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Store.Commit(epoch)
+}
+
+// TestRequestCutCoalescesAndYieldsToQuarantine pins commit-on-pressure's
+// contract with its callers: RequestCut never blocks, any number of requests
+// made while a cut is in progress buy exactly one further cut, and a request
+// that finds a stateful operator quarantined is dropped without pausing the
+// engine or counting a skipped cut.
+func TestRequestCutCoalescesAndYieldsToQuarantine(t *testing.T) {
+	gate := &gatedStore{Store: state.NewMemStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	c, ctr, e := newTestCheckpointer(t, Options{PanicBudget: 1}, CheckpointConfig{Store: gate, Interval: time.Hour})
+	c.Start()
+	waitEntered := func(what string) {
+		t.Helper()
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never reached its commit", what)
+		}
+	}
+
+	feedKeys(ctr, 1)
+	c.RequestCut()
+	waitEntered("the requested cut")
+	for i := 0; i < 5; i++ {
+		c.RequestCut() // all land while the first cut is still committing
+	}
+	gate.release <- struct{}{}
+	waitEntered("the coalesced follow-up cut")
+	gate.release <- struct{}{}
+
+	// Quarantined: the request is consumed and nothing else happens.
+	e.sup.nodes[ctrNode].until.Store(time.Now().Add(time.Hour).UnixNano())
+	c.RequestCut()
+	for deadline := time.Now().Add(10 * time.Second); len(c.cutCh) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("run loop never picked the request up")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.Stop() // returns once the loop has finished whatever it was handling
+	if st := c.Stats(); st.Checkpoints != 2 || st.Pressure != 2 || st.Skipped != 0 {
+		t.Fatalf("after 1+5 requests and one under quarantine: %+v, want 2 checkpoints, both on request, none skipped", st)
+	}
+}

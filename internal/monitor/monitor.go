@@ -91,21 +91,24 @@ type StreamStatus struct {
 	DrainSizes []uint64 `json:"drainSizes,omitempty"`
 	// Recovery counters: Retransmits/Reconnects/Unacked are export-side
 	// (resume traffic, re-attached connections, frames of unknown delivery
-	// at close); DupsDropped/Resumes are import-side (sequence dedup,
-	// re-accepted connections).
-	Retransmits uint64 `json:"retransmits,omitempty"`
-	Reconnects  uint64 `json:"reconnects,omitempty"`
-	Unacked     uint64 `json:"unacked,omitempty"`
-	DupsDropped uint64 `json:"dupsDropped,omitempty"`
-	Resumes     uint64 `json:"resumes,omitempty"`
+	// at close), as is UnackedBytes, the block memory the export's log holds
+	// for replay right now; DupsDropped/Resumes are import-side (sequence
+	// dedup, re-accepted connections).
+	Retransmits  uint64 `json:"retransmits,omitempty"`
+	Reconnects   uint64 `json:"reconnects,omitempty"`
+	Unacked      uint64 `json:"unacked,omitempty"`
+	UnackedBytes uint64 `json:"unackedBytes,omitempty"`
+	DupsDropped  uint64 `json:"dupsDropped,omitempty"`
+	Resumes      uint64 `json:"resumes,omitempty"`
 }
 
 // CheckpointStatus is one PE's checkpoint coordinator state: epochs
-// committed, failures, cuts skipped while an operator was quarantined,
-// restores performed, and the last committed epoch's size, watermark, and
-// number.
+// committed (and how many of those the transport's replay window forced
+// early), failures, cuts skipped while an operator was quarantined, restores
+// performed, and the last committed epoch's size, watermark, and number.
 type CheckpointStatus struct {
 	Checkpoints   uint64 `json:"checkpoints"`
+	PressureCuts  uint64 `json:"pressureCuts,omitempty"`
 	Errors        uint64 `json:"errors,omitempty"`
 	Skipped       uint64 `json:"skipped,omitempty"`
 	Restores      uint64 `json:"restores,omitempty"`

@@ -83,6 +83,8 @@ func BuildStatus(name string, reg *obs.Registry, health *WatchdogStatus) Status 
 			ckpt().Errors = s.U
 		case obs.MetricCkptSkipped:
 			ckpt().Skipped = s.U
+		case obs.MetricCkptPressure:
+			ckpt().PressureCuts = s.U
 		case obs.MetricCkptRestores:
 			ckpt().Restores = s.U
 		case obs.MetricCkptLastBytes:
@@ -107,6 +109,8 @@ func BuildStatus(name string, reg *obs.Registry, health *WatchdogStatus) Status 
 			streamFor(streams, s).Reconnects = s.U
 		case obs.MetricTransportUnacked:
 			streamFor(streams, s).Unacked = uint64(s.Value)
+		case obs.MetricTransportUnackedBytes:
+			streamFor(streams, s).UnackedBytes = uint64(s.Value)
 		case obs.MetricTransportDups:
 			streamFor(streams, s).DupsDropped = s.U
 		case obs.MetricTransportResumes:

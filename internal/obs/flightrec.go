@@ -27,6 +27,7 @@ type EventKind uint8
 //	EvPark             A=worker id B=cumulative parks (sampled by the engine)
 //	EvCheckpoint       A=epoch   B=snapshot bytes, Detail="full"/"incr"
 //	EvRestore          A=node (-1 = all) B=epoch, Detail=cause
+//	EvPressureCut      A=stream  B=window bytes past the last committed cut
 const (
 	EvAdapt EventKind = iota + 1
 	EvFault
@@ -41,6 +42,7 @@ const (
 	EvPark
 	EvCheckpoint
 	EvRestore
+	EvPressureCut
 )
 
 // String returns the kind's stable dump label.
@@ -72,6 +74,8 @@ func (k EventKind) String() string {
 		return "checkpoint"
 	case EvRestore:
 		return "restore"
+	case EvPressureCut:
+		return "pressure-cut"
 	}
 	return fmt.Sprintf("kind-%d", uint8(k))
 }

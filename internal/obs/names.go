@@ -49,6 +49,9 @@ const (
 	MetricTransportUnacked     = "transport_unacked"
 	MetricTransportDups        = "transport_dups_dropped_total"
 	MetricTransportResumes     = "transport_resumes_total"
+	// MetricTransportUnackedBytes is the block memory an export's log is
+	// holding for replay right now — the retransmit window in bytes.
+	MetricTransportUnackedBytes = "transport_unacked_bytes"
 	// MetricTransportDrainSize is the writer's staging-ring drain-size
 	// histogram (tuples per drain). Formerly transport_batch_size, renamed
 	// because it records ring drains, not wire batches or flush batches.
@@ -77,6 +80,7 @@ const (
 	MetricCkptTotal     = "checkpoint_total"
 	MetricCkptErrors    = "checkpoint_errors_total"
 	MetricCkptSkipped   = "checkpoint_skipped_total"
+	MetricCkptPressure  = "checkpoint_pressure_cuts_total"
 	MetricCkptRestores  = "checkpoint_restores_total"
 	MetricCkptLastBytes = "checkpoint_last_bytes"
 	MetricCkptWatermark = "checkpoint_watermark"

@@ -142,10 +142,11 @@ func launchChaosState(t *testing.T, inj *fault.Injector, checkpointing bool, arm
 	g, sink := keyedJoinJob(t)
 	job, err := Launch(g, Assignment{0, 1, 1, 1, 1}, Options{
 		DisableElasticity: true,
-		// Backpressure instead of drops, and a small retransmit ring so the
-		// generator cannot outrun the ack floor by more than one commit
-		// interval — the run is forced through many checkpoint cycles.
-		Transport: TransportConfig{BlockTimeout: time.Minute, RetransmitCapacity: 4096},
+		// Backpressure instead of drops, and a small retransmit window (four
+		// blocks against ~2 MB of traffic) so the generator cannot outrun the
+		// ack floor — the run is forced through many checkpoint cycles, the
+		// pressure-driven ones included.
+		Transport: TransportConfig{BlockTimeout: time.Minute, RetransmitBytes: 4 * logBlockBytes},
 		Fault:     inj,
 		Checkpoint: CheckpointOptions{
 			Enabled:  checkpointing,

@@ -61,39 +61,41 @@ const (
 const maxBatchTuples = 1024
 
 // batchTargetBytes is the soft body-size target the export's chunking loop
-// cuts batch frames at. Frame-overhead amortization saturates after a few
-// dozen records, but the costs that scale with frame size keep growing: the
-// importer materializes a whole frame into one arena block before any tuple
-// is built, and a retransmit slot pins the full frame until its window slot
-// is re-acked — so bulk tuples (16 KiB payloads) in maxFrameBytes-sized
-// chunks turn into multi-MiB blocks that thrash the size-class pools and
-// stall acks. A single tuple larger than the target still gets its own
-// frame (the hard bound stays maxFrameBytes); the target only stops *more*
-// tuples from piling into an already-large chunk.
-const batchTargetBytes = 64 << 10
+// cuts batch frames at: one log block minus the length prefix, so a full
+// frame fills exactly one pooled block. Frame-overhead amortization
+// saturates after a few dozen records, but the costs that scale with frame
+// size keep growing: the importer materializes a whole frame into one arena
+// block before any tuple is built, and a frame larger than a log block
+// needs a dedicated one — so bulk tuples (16 KiB payloads) in
+// maxFrameBytes-sized chunks turn into multi-MiB blocks that thrash the
+// size-class pools and stall acks. A single tuple larger than the target
+// still gets its own frame (the hard bound stays maxFrameBytes); the target
+// only stops *more* tuples from piling into an already-large chunk.
+const batchTargetBytes = logBlockBytes - 4
 
-// wireBufBytes sizes the buffered reader/writer on each side of a stream
-// connection. On the send side it doubles as the frame-coalescing window:
-// the writer goroutine flushes by policy (see exportOp), so many small
-// frames leave in one syscall.
+// wireBufBytes sizes the importer's buffered reader. The export needs no such
+// buffer: it writes to the socket straight from its block log.
 const wireBufBytes = 64 << 10
 
-// marshalFrame appends one tuple frame (length prefix included) carrying
-// wire sequence wireSeq to dst[:0], returning the extended slice. The
-// retransmit ring marshals into its per-slot buffers through this, so a
-// staged frame's bytes outlive the pooled tuple.
-func marshalFrame(dst []byte, wireSeq uint64, t *spl.Tuple) ([]byte, error) {
-	frameLen := fixedHeaderBytes + len(t.Text) + len(t.Payload)
-	if frameLen > maxFrameBytes {
-		return nil, fmt.Errorf("pe: tuple frame %d bytes exceeds limit %d", frameLen, maxFrameBytes)
-	}
-	need := 4 + frameLen
-	if cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
-	b := dst[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(frameLen))
+// v1FrameBytes returns tuple t's wire size as a v1 frame, length prefix
+// included.
+func v1FrameBytes(t *spl.Tuple) int {
+	return 4 + fixedHeaderBytes + len(t.Text) + len(t.Payload)
+}
+
+// appendFrame appends one v1 tuple frame (length prefix included) carrying
+// wire sequence wireSeq to dst. The caller has checked the frame against
+// maxFrameBytes; the export's block log marshals straight into its open block
+// through this, so a staged frame's bytes outlive the pooled tuple.
+func appendFrame(dst []byte, wireSeq uint64, t *spl.Tuple) []byte {
+	b := binary.LittleEndian.AppendUint32(dst, uint32(fixedHeaderBytes+len(t.Text)+len(t.Payload)))
 	b = binary.LittleEndian.AppendUint64(b, wireSeq)
+	return appendRecord(b, t)
+}
+
+// appendRecord appends the fields every frame format carries per tuple: the
+// v1 body minus wireSeq, which is also a v2 batch record.
+func appendRecord(b []byte, t *spl.Tuple) []byte {
 	b = binary.LittleEndian.AppendUint64(b, t.Seq)
 	b = binary.LittleEndian.AppendUint64(b, t.Key)
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.Time))
@@ -102,8 +104,20 @@ func marshalFrame(dst []byte, wireSeq uint64, t *spl.Tuple) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Text)))
 	b = append(b, t.Text...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
-	b = append(b, t.Payload...)
-	return b, nil
+	return append(b, t.Payload...)
+}
+
+// marshalFrame encodes one tuple frame carrying wire sequence wireSeq into
+// dst[:0] (growing it when too small), returning the encoded slice.
+func marshalFrame(dst []byte, wireSeq uint64, t *spl.Tuple) ([]byte, error) {
+	need := v1FrameBytes(t)
+	if need-4 > maxFrameBytes {
+		return nil, fmt.Errorf("pe: tuple frame %d bytes exceeds limit %d", need-4, maxFrameBytes)
+	}
+	if cap(dst) < need {
+		dst = make([]byte, 0, need)
+	}
+	return appendFrame(dst[:0], wireSeq, t), nil
 }
 
 // zigzag maps a signed delta to an unsigned varint-friendly value (small
@@ -128,101 +142,52 @@ func batchFrameAdd(t *spl.Tuple, prevRec int) int {
 	return uvarintLen(zigzag(int64(rec-prevRec))) + rec
 }
 
-// marshalBatchFrame appends one v2 batch frame (length prefix included)
-// carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst[:0],
-// returning the extended slice. Like marshalFrame it writes into the
-// retransmit ring's per-slot buffers, so the frame bytes outlive the pooled
-// tuples.
-func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, error) {
-	if len(ts) == 0 || len(ts) > maxBatchTuples {
-		return nil, fmt.Errorf("pe: batch of %d tuples outside [1, %d]", len(ts), maxBatchTuples)
-	}
-	body := batchHeaderBytes
-	prev := 0
+// batchBodyBytes returns the body size (bytes after the length prefix) of
+// the v2 batch frame carrying ts.
+func batchBodyBytes(ts []*spl.Tuple) int {
+	body, prev := batchHeaderBytes, 0
 	for _, t := range ts {
 		body += batchFrameAdd(t, prev)
 		prev = batchRecordBytes(t)
 	}
-	if body > maxFrameBytes {
-		return nil, fmt.Errorf("pe: batch frame %d bytes exceeds limit %d", body, maxFrameBytes)
-	}
-	need := 4 + body
-	if cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
-	b := dst[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(body)|batchFrameFlag)
+	return body
+}
+
+// appendBatchFrame appends one v2 batch frame (length prefix included) of
+// body bytes carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst.
+// The caller has sized the batch: 1..maxBatchTuples tuples, body ==
+// batchBodyBytes(ts) <= maxFrameBytes. Like appendFrame it writes into the
+// block log's open block, so the frame bytes outlive the pooled tuples.
+func appendBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple, body int) []byte {
+	b := binary.LittleEndian.AppendUint32(dst, uint32(body)|batchFrameFlag)
 	b = binary.LittleEndian.AppendUint64(b, baseSeq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
-	prev = 0
+	prev := 0
 	for _, t := range ts {
 		rec := batchRecordBytes(t)
 		b = binary.AppendUvarint(b, zigzag(int64(rec-prev)))
 		prev = rec
 	}
 	for _, t := range ts {
-		b = binary.LittleEndian.AppendUint64(b, t.Seq)
-		b = binary.LittleEndian.AppendUint64(b, t.Key)
-		b = binary.LittleEndian.AppendUint64(b, uint64(t.Time))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Num1))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Num2))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Text)))
-		b = append(b, t.Text...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
-		b = append(b, t.Payload...)
+		b = appendRecord(b, t)
 	}
-	return b, nil
+	return b
 }
 
-// encoder writes tuples to a stream in frame format.
-type encoder struct {
-	w   *bufio.Writer
-	buf []byte
-	seq uint64 // wire sequence of the last frame written by writeFrame
-}
-
-func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: bufio.NewWriterSize(w, wireBufBytes)}
-}
-
-// writeFrame appends one tuple frame to the buffered writer without
-// flushing, returning the frame's wire size (length prefix included). The
-// wire sequence auto-increments from 1; the reliable transport writes
-// retransmit-ring slots via writeBytes instead, where it controls the
-// sequence. The scratch buffer is reused across calls, so steady-state
-// encoding is allocation-free.
-func (e *encoder) writeFrame(t *spl.Tuple) (int, error) {
-	b, err := marshalFrame(e.buf, e.seq+1, t)
-	if err != nil {
-		return 0, err
+// marshalBatchFrame encodes ts as one v2 batch frame into dst[:0] (growing
+// it when too small), returning the encoded slice.
+func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, error) {
+	if len(ts) == 0 || len(ts) > maxBatchTuples {
+		return nil, fmt.Errorf("pe: batch of %d tuples outside [1, %d]", len(ts), maxBatchTuples)
 	}
-	e.buf = b
-	if _, err := e.w.Write(b); err != nil {
-		return 0, err
+	body := batchBodyBytes(ts)
+	if body > maxFrameBytes {
+		return nil, fmt.Errorf("pe: batch frame %d bytes exceeds limit %d", body, maxFrameBytes)
 	}
-	e.seq++
-	return len(b), nil
-}
-
-// writeBytes appends an already-marshalled frame to the buffered writer.
-func (e *encoder) writeBytes(b []byte) (int, error) {
-	return e.w.Write(b)
-}
-
-// flush pushes all buffered frames onto the underlying connection.
-func (e *encoder) flush() error { return e.w.Flush() }
-
-// buffered reports how many encoded bytes await a flush.
-func (e *encoder) buffered() int { return e.w.Buffered() }
-
-// encode writes one frame and flushes immediately: the single-frame path
-// used by tests and by the per-tuple-flush baseline benchmark. The batched
-// transport calls writeFrame/flush separately.
-func (e *encoder) encode(t *spl.Tuple) error {
-	if _, err := e.writeFrame(t); err != nil {
-		return err
+	if cap(dst) < 4+body {
+		dst = make([]byte, 0, 4+body)
 	}
-	return e.flush()
+	return appendBatchFrame(dst[:0], baseSeq, ts, body), nil
 }
 
 // decoder reads tuple frames from a stream.

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -411,4 +412,45 @@ func TestDecodeIsZeroCopy(t *testing.T) {
 		t.Fatal("payload-less tuple retained an arena reference")
 	}
 	empty.Release()
+}
+
+// encoder is the v1 frame-per-tuple writer the transport used before the
+// block log: a buffered writer fed one marshalled frame at a time. It
+// survives as the tests' and baseline benchmarks' reference sender.
+type encoder struct {
+	w   *bufio.Writer
+	buf []byte
+	seq uint64 // wire sequence of the last frame written
+}
+
+func newEncoder(w io.Writer) *encoder {
+	return &encoder{w: bufio.NewWriterSize(w, wireBufBytes)}
+}
+
+// writeFrame appends one tuple frame to the buffered writer without
+// flushing, returning the frame's wire size (length prefix included). The
+// wire sequence auto-increments from 1. The scratch buffer is reused across
+// calls, so steady-state encoding is allocation-free.
+func (e *encoder) writeFrame(t *spl.Tuple) (int, error) {
+	b, err := marshalFrame(e.buf, e.seq+1, t)
+	if err != nil {
+		return 0, err
+	}
+	e.buf = b
+	if _, err := e.w.Write(b); err != nil {
+		return 0, err
+	}
+	e.seq++
+	return len(b), nil
+}
+
+// flush pushes all buffered frames onto the underlying writer.
+func (e *encoder) flush() error { return e.w.Flush() }
+
+// encode writes one frame and flushes immediately.
+func (e *encoder) encode(t *spl.Tuple) error {
+	if _, err := e.writeFrame(t); err != nil {
+		return err
+	}
+	return e.flush()
 }

@@ -139,11 +139,10 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	if opts.Checkpoint.Enabled && opts.Transport.RetransmitCapacity == 0 {
-		// With acks gated at the checkpoint floor, sustained throughput is
-		// bounded by ring capacity per checkpoint interval; give the replay
-		// window real headroom when the user has not sized it.
-		opts.Transport.RetransmitCapacity = 1 << 15
+	if opts.Checkpoint.Enabled && opts.Transport.RetransmitBytes == 0 {
+		// With acks gated at the checkpoint floor the window holds a whole
+		// commit interval's traffic, not a round trip's: default it larger.
+		opts.Transport.RetransmitBytes = gatedRetransmitBytes
 	}
 	plans, crosses, err := Partition(g, assign)
 	if err != nil {
@@ -265,9 +264,11 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 // file log (or in-memory store), and — when the PE has exactly one TCP
 // import — the transport hooks that make recovery exactly-once: the cut is
 // stamped with the import's emit watermark, acks upstream are gated at the
-// last committed cut so the sender's retransmit ring retains the replay
-// range, and recovery rewinds the import to the cut before readmitting
-// tuples. A PE with multiple imports (or only local edges, which have no
+// last committed cut so the sender's block log retains the replay range, the
+// import asks for an early cut when half the log's byte budget has arrived
+// past the last commit (so the budget never gates throughput), and recovery
+// rewinds the import to the cut before readmitting tuples. A PE with
+// multiple imports (or only local edges, which have no
 // retransmit machinery) still checkpoints and restores, but recovery is
 // restore-only: a single watermark cannot name a cut across several
 // independent wire-sequence domains.
@@ -296,11 +297,15 @@ func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
 	if len(tcp) == 1 {
 		imp := tcp[0]
 		imp.gateAcks()
-		cfg.Watermark = imp.emitWatermark
+		cfg.Watermark = imp.cutWatermark
 		cfg.Rewind = imp.rewind
 		cfg.CommitFloor = imp.advanceAckFloor
 	}
 	rt.Ckpt = exec.NewCheckpointer(rt.Eng, cfg)
+	if len(tcp) == 1 {
+		budget := opts.Transport.withDefaults().RetransmitBytes
+		tcp[0].armPressure(uint64(budget/pressureShare), rt.Ckpt.RequestCut)
+	}
 	return rt.Ckpt.Restore()
 }
 

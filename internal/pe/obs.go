@@ -43,6 +43,8 @@ func registerExportMetrics(r *obs.Registry, exp *exportOp, stream int, peer stri
 	r.SetCounterFunc(obs.MetricTransportReconnects, "Successful re-attaches after a lost connection.", exp.Reconnects, l...)
 	r.SetGaugeFunc(obs.MetricTransportUnacked, "Staged frames never acknowledged, set at close.",
 		func() float64 { return float64(exp.Unacked()) }, l...)
+	r.SetGaugeFunc(obs.MetricTransportUnackedBytes, "Block memory the export's log holds for replay (the retransmit window in bytes).",
+		func() float64 { return float64(exp.UnackedBytes()) }, l...)
 	r.SetHistogramFunc(obs.MetricTransportDrainSize, "Staging-ring drain sizes (tuples per writer drain).",
 		exp.batchSnapshot, l...)
 }

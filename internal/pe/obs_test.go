@@ -3,6 +3,7 @@ package pe
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,9 @@ func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
 	defer job.Stop()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for !strings.Contains(dump.String(), "watchdog trip pe0") && time.Now().Before(deadline) {
+	// The trip event is the dump's last line, written after the header: wait
+	// for it, not for the header, or the poll can land between the two.
+	for !strings.Contains(dump.String(), "watchdog-trip") && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	text := dump.String()
@@ -193,5 +196,88 @@ func TestJobRegistriesExposeTransportSeries(t *testing.T) {
 	}
 	if sts[1].SinkTuples != n {
 		t.Fatalf("pe1 sink tuples = %d, want %d", sts[1].SinkTuples, n)
+	}
+}
+
+// TestPressureCutsCarryTheStreamAndShowUp runs the checkpointed two-PE job
+// with the periodic tick effectively off (one hour) and a four-block window:
+// acks are gated at the last commit, so the stream can only finish if the
+// import's commit-on-pressure requests keep cutting. It then checks every
+// surface the mechanism reports on: CheckpointStats, /metrics, /statusz and
+// the flight recorder, plus the export's window gauge while traffic flows.
+func TestPressureCutsCarryTheStreamAndShowUp(t *testing.T) {
+	g, sink := keyedJoinJob(t)
+	const budget = 4 * logBlockBytes
+	job, err := Launch(g, Assignment{0, 1, 1, 1, 1}, Options{
+		DisableElasticity: true,
+		Transport:         TransportConfig{BlockTimeout: time.Minute, RetransmitBytes: budget},
+		Checkpoint:        CheckpointOptions{Enabled: true, Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Start(context.Background()); err != nil {
+		job.Stop()
+		t.Fatal(err)
+	}
+	exp := job.PEs[0].Plan.exports[0]
+	var peak int64
+	deadline := time.Now().Add(60 * time.Second)
+	for sink.count.Load() < chaosStateWant && time.Now().Before(deadline) {
+		if w := exp.UnackedBytes(); w > peak {
+			peak = w
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if got := sink.count.Load(); got < chaosStateWant {
+		t.Fatalf("stream stalled at %d of %d tuples: pressure cuts did not free the window", got, chaosStateWant)
+	}
+	if peak <= 0 || peak > budget {
+		t.Fatalf("window gauge peaked at %d bytes, want within (0, %d]", peak, budget)
+	}
+	// Stop first: the counters below are compared with each other, and a cut
+	// landing between two reads would make them disagree.
+	if !job.DrainAndStop(30 * time.Second) {
+		t.Fatal("job did not drain")
+	}
+	if !bytes.Equal(sink.output(), goldenOutput()) {
+		t.Fatal("output differs from golden")
+	}
+	if w := exp.UnackedBytes(); w != 0 {
+		t.Fatalf("window gauge reads %d after close, want 0", w)
+	}
+
+	st := job.CheckpointStats()[1]
+	if st.Pressure == 0 || st.Pressure != st.Checkpoints {
+		t.Fatalf("pressure cuts %d of %d checkpoints, want all of them (the tick never fired)", st.Pressure, st.Checkpoints)
+	}
+	var metrics bytes.Buffer
+	if err := obs.WritePrometheusAll(&metrics, job.Registries()...); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		obs.MetricCkptPressure + `{pe="1"} ` + strconv.FormatUint(st.Pressure, 10),
+		obs.MetricTransportUnackedBytes + `{dir="export",pe="0",peer="1",stream="0"}`,
+	} {
+		if !strings.Contains(metrics.String(), series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+	sts := job.Statuses()
+	if sts[1].Checkpoint == nil || sts[1].Checkpoint.PressureCuts != st.Pressure {
+		t.Errorf("/statusz pe1 checkpoint = %+v, want %d pressure cuts", sts[1].Checkpoint, st.Pressure)
+	}
+	var asked uint64
+	for _, ev := range job.FlightRecorder().Events() {
+		if ev.Kind != obs.EvPressureCut {
+			continue
+		}
+		asked++
+		if ev.PE != 1 || ev.A != 0 || ev.B < budget/pressureShare {
+			t.Errorf("pressure-cut event %+v: want pe 1, stream 0, at least %d bytes", ev, budget/pressureShare)
+		}
+	}
+	if asked < st.Pressure {
+		t.Errorf("%d pressure-cut events for %d pressure cuts", asked, st.Pressure)
 	}
 }

@@ -1,106 +1,288 @@
 package pe
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 
 	"streamelastic/internal/spl"
 )
 
-// retransSlot holds one staged frame's encoded bytes until the receiver
-// acknowledges its last wire sequence. A slot covers the inclusive sequence
-// range [first, last] — a single tuple for v1 frames, a whole batch for v2
-// frames. The buffer is reused when the slot is overwritten, so steady-state
-// staging allocates nothing once the ring has warmed up to the workload's
-// frame sizes.
-type retransSlot struct {
+// logBlockBytes is the size of one pooled block of the export's block log.
+// batchTargetBytes is cut so a full batch frame fills exactly one block.
+const logBlockBytes = 64 << 10
+
+// pressureShare is the fraction of the byte budget a checkpoint-gated import
+// lets arrive past the last committed cut before it asks for an early one
+// (commit-on-pressure): half, so the cut commits and its ack frees the first
+// half of the window while the sender is still filling the second.
+const pressureShare = 2
+
+// blockCharge returns the block memory a frame of n bytes adds to a log
+// whose open block has *room bytes left, and updates *room: nothing when the
+// frame fits, one pooled block when it opens a fresh one, its own size when
+// it is larger than a block and gets a dedicated one. The export's log and a
+// gated import's pressure gauge both account with it, so the receiver counts
+// exactly the memory its sender retains.
+func blockCharge(room *int, n int) int {
+	switch {
+	case n <= *room:
+		*room -= n
+		return 0
+	case n > logBlockBytes:
+		*room = 0
+		return n
+	default:
+		*room = logBlockBytes - n
+		return logBlockBytes
+	}
+}
+
+// logBlock is one block of the log: whole encoded frames back to back,
+// covering the inclusive wire-sequence range [first, last].
+type logBlock struct {
+	buf   []byte
 	first uint64
 	last  uint64
-	buf   []byte
 }
 
-// retransRing is the export writer's bounded retransmit window: the last
-// RetransmitCapacity staged frames in insertion order. Only the writer
-// goroutine touches it — the window-space check against the acked watermark
-// (full) is what keeps unacknowledged frames from being overwritten.
-type retransRing struct {
-	mask  uint64
-	count uint64 // frames inserted; next frame lands in slot count&mask
-	slots []retransSlot
+// blockLog is the export writer's write buffer and retransmit window in one:
+// an append-only log of encoded frames held in 64 KiB blocks. The writer
+// marshals each frame straight into the open block, writes to the socket
+// from block memory, and a block returns to the free list once the acked
+// watermark passes its last sequence — so the memory retained follows the
+// un-acked window, and the window is bounded in bytes of block memory, not in
+// frames. Frames never span blocks; a frame larger than a block gets a
+// dedicated one that is left to the garbage collector on release.
+//
+// Only the writer goroutine touches the log. The free list is a plain capped
+// stack rather than a sync.Pool, which a GC cycle would empty under load.
+type blockLog struct {
+	budget   int         // bound on retained plus free-listed block memory
+	blocks   []*logBlock // live blocks, oldest first; the last one is open
+	free     []*logBlock // released pooled blocks
+	room     int         // bytes left in the open block
+	retained int         // block memory held by live blocks
+
+	// appended and written are running byte totals; the bytes between them
+	// are staged but not yet handed to the socket in this connection epoch.
+	// wIdx/wOff locate written inside blocks.
+	appended uint64
+	written  uint64
+	wIdx     int
+	wOff     int
+	iov      [][]byte    // flush's gather scratch
+	bufs     net.Buffers // the header over iov a vectored write consumes
 }
 
-func newRetransRing(capacity int) *retransRing {
-	// Caller (TransportConfig.withDefaults) guarantees a power of two >= 2.
-	return &retransRing{
-		mask:  uint64(capacity - 1),
-		slots: make([]retransSlot, capacity),
+func newBlockLog(budget int) *blockLog {
+	return &blockLog{budget: budget}
+}
+
+// full reports whether a frame of n bytes has to wait for acknowledgements:
+// it needs a new block and the budget has none left. Blocks the acked
+// watermark has passed are released first. An empty log admits any frame, so
+// a single frame larger than the whole budget still makes progress.
+func (l *blockLog) full(n int, acked uint64) bool {
+	if n <= l.room {
+		return false
+	}
+	l.release(acked)
+	if len(l.blocks) == 0 {
+		return false
+	}
+	return l.retained+max(n, logBlockBytes) > l.budget // a fresh block's charge
+}
+
+// release returns every block whose sequences the acked watermark covers to
+// the free list (dedicated oversize blocks, and pooled ones the budget has no
+// room to keep, go to the garbage collector).
+func (l *blockLog) release(acked uint64) {
+	n := 0
+	for n < len(l.blocks) && l.blocks[n].last <= acked {
+		b := l.blocks[n]
+		l.retained -= cap(b.buf)
+		if n == l.wIdx {
+			// Acknowledged without this epoch having written all of it (a
+			// resume handshake moved the cursor back): skip the rest.
+			l.written += uint64(len(b.buf) - l.wOff)
+			l.wIdx, l.wOff = n+1, 0
+		}
+		if cap(b.buf) == logBlockBytes && l.retained+(len(l.free)+1)*logBlockBytes <= l.budget {
+			b.buf = b.buf[:0]
+			l.free = append(l.free, b)
+		}
+		l.blocks[n] = nil
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	l.blocks = l.blocks[:copy(l.blocks, l.blocks[n:])]
+	l.wIdx -= n
+	if len(l.blocks) == 0 {
+		l.room = 0
 	}
 }
 
-// full reports whether inserting another frame would overwrite a slot whose
-// sequences are not yet covered by the acked watermark. For per-tuple frames
-// this is exactly the old inFlight >= capacity check; for batch frames it
-// accounts for a slot pinning a whole sequence range.
-func (r *retransRing) full(acked uint64) bool {
-	s := &r.slots[r.count&r.mask]
-	return s.last != 0 && s.last > acked
+// open returns the block a frame of n bytes is marshalled into, opening a
+// new one when the open block lacks the room.
+func (l *blockLog) open(n int) *logBlock {
+	charge := blockCharge(&l.room, n)
+	if charge == 0 {
+		return l.blocks[len(l.blocks)-1]
+	}
+	var b *logBlock
+	if k := len(l.free); charge == logBlockBytes && k > 0 {
+		b, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		b = &logBlock{buf: make([]byte, 0, charge)}
+	}
+	b.first = 0
+	l.retained += charge
+	l.blocks = append(l.blocks, b)
+	return b
 }
 
-// putTuple marshals the tuple as v1 frame seq into the next slot and returns
-// the encoded bytes. The caller must have checked full first.
-func (r *retransRing) putTuple(seq uint64, t *spl.Tuple) ([]byte, error) {
-	s := &r.slots[r.count&r.mask]
-	b, err := marshalFrame(s.buf, seq, t)
-	if err != nil {
-		return nil, err
+// stamp records a just-appended frame's sequence range on its block.
+func (l *blockLog) stamp(b *logBlock, grew int, first, last uint64) {
+	if b.first == 0 {
+		b.first = first
 	}
-	s.first, s.last, s.buf = seq, seq, b
-	r.count++
-	return b, nil
+	b.last = last
+	l.appended += uint64(grew)
 }
 
-// putBatch marshals ts as one v2 batch frame covering wire sequences
-// first..first+len(ts)-1 into the next slot and returns the encoded bytes.
-// The caller must have checked full first.
-func (r *retransRing) putBatch(first uint64, ts []*spl.Tuple) ([]byte, error) {
-	s := &r.slots[r.count&r.mask]
-	b, err := marshalBatchFrame(s.buf, first, ts)
-	if err != nil {
-		return nil, err
-	}
-	s.first, s.last, s.buf = first, first+uint64(len(ts))-1, b
-	r.count++
-	return b, nil
+// appendTuple marshals t as the v1 frame carrying wire sequence seq. The
+// caller has checked full and the frame size (v1FrameBytes).
+func (l *blockLog) appendTuple(seq uint64, t *spl.Tuple) {
+	n := v1FrameBytes(t)
+	b := l.open(n)
+	b.buf = appendFrame(b.buf, seq, t)
+	l.stamp(b, n, seq, seq)
 }
 
-// framesAfter walks the live window oldest to newest and emits every frame
-// carrying sequences past resume, verifying the frames cover (resume, last]
-// without a gap — a partially-acked batch frame is emitted whole and the
-// importer's sequence dedup drops the overlap. It returns the frame and
-// tuple counts emitted (tuples counted past resume only).
-func (r *retransRing) framesAfter(resume uint64, emit func(buf []byte) error) (frames int, tuples uint64, err error) {
-	start := uint64(0)
-	if n := uint64(len(r.slots)); r.count > n {
-		start = r.count - n
+// appendBatch marshals ts as one v2 batch frame of body bytes covering wire
+// sequences first..first+len(ts)-1. The caller has checked full and sized
+// the chunk (see appendBatchFrame).
+func (l *blockLog) appendBatch(first uint64, ts []*spl.Tuple, body int) {
+	b := l.open(4 + body)
+	b.buf = appendBatchFrame(b.buf, first, ts, body)
+	l.stamp(b, 4+body, first, first+uint64(len(ts))-1)
+}
+
+// buffered returns the staged bytes not yet handed to the socket.
+func (l *blockLog) buffered() int { return int(l.appended - l.written) }
+
+// flush writes the staged bytes up to the running total upTo (l.appended for
+// everything) to w straight from block memory and returns the bytes written.
+// A range that spans blocks goes out as one vectored write where w supports
+// it (a TCP connection does), so a flush stays one syscall.
+func (l *blockLog) flush(w io.Writer, upTo uint64) (int, error) {
+	l.iov = l.iov[:0]
+	idx, off := l.wIdx, l.wOff
+	for pos := l.written; pos < upTo; idx, off = idx+1, 0 {
+		chunk := l.blocks[idx].buf[off:]
+		if rest := upTo - pos; uint64(len(chunk)) > rest {
+			chunk = chunk[:rest]
+		}
+		if len(chunk) > 0 {
+			l.iov = append(l.iov, chunk)
+			pos += uint64(len(chunk))
+		}
 	}
+	var n int64
+	var err error
+	switch len(l.iov) {
+	case 0:
+		return 0, nil
+	case 1:
+		var m int
+		m, err = w.Write(l.iov[0])
+		n = int64(m)
+	default:
+		// WriteTo consumes the slice it is called on: hand it a copy of the
+		// header, so the scratch keeps its capacity.
+		l.bufs = l.iov
+		n, err = l.bufs.WriteTo(w)
+	}
+	// Step the cursor over what was written (all of it unless err != nil).
+	l.written += uint64(n)
+	for left := int(n); left > 0; {
+		if room := len(l.blocks[l.wIdx].buf) - l.wOff; left > room {
+			left -= room
+			l.wIdx, l.wOff = l.wIdx+1, 0
+		} else {
+			l.wOff += left
+			left = 0
+		}
+	}
+	return int(n), err
+}
+
+// skip advances the written cursor to the end of the log without sending:
+// the frames in between stay in the window and ride it to the next
+// connection epoch (the FrameCorrupt chaos hook withholds a frame this way).
+func (l *blockLog) skip() {
+	l.written = l.appended
+	if n := len(l.blocks); n > 0 {
+		l.wIdx, l.wOff = n-1, len(l.blocks[n-1].buf)
+	}
+}
+
+// frameSpan decodes the header of the encoded frame at the start of b: its
+// wire size and inclusive sequence range.
+func frameSpan(b []byte) (size int, first, last uint64) {
+	raw := binary.LittleEndian.Uint32(b)
+	first = binary.LittleEndian.Uint64(b[4:])
+	if raw&batchFrameFlag == 0 {
+		return 4 + int(raw), first, first
+	}
+	count := binary.LittleEndian.Uint32(b[12:])
+	return 4 + int(raw&^batchFrameFlag), first, first + uint64(count) - 1
+}
+
+// resumeFrom starts a connection epoch at the receiver's watermark: it walks
+// the live window oldest to newest and moves the written cursor back to the
+// first frame carrying sequences past resume, so the next flush re-sends that
+// frame and everything after it — whole frames only; a partially delivered
+// batch frame goes out whole and the importer's sequence dedup drops the
+// overlap. It verifies the frames cover (resume, last] without a gap and
+// returns the frame and tuple counts the flush will carry (tuples counted
+// past resume only).
+func (l *blockLog) resumeFrom(resume uint64) (frames int, tuples uint64, err error) {
+	l.skip()
 	expect := resume + 1
-	for i := start; i < r.count; i++ {
-		s := &r.slots[i&r.mask]
-		if s.last <= resume {
+	pos := l.appended // running byte total at the start of the frame under the walk
+	for _, b := range l.blocks {
+		pos -= uint64(len(b.buf))
+	}
+	for i, b := range l.blocks {
+		if b.last <= resume {
+			pos += uint64(len(b.buf))
 			continue
 		}
-		if s.first > expect {
-			return frames, tuples, fmt.Errorf("pe: frames (%d, %d) left the retransmit window", resume, s.first)
+		for off := 0; off < len(b.buf); {
+			size, first, last := frameSpan(b.buf[off:])
+			if last > resume {
+				if first > expect {
+					return frames, tuples, fmt.Errorf("pe: frames (%d, %d) left the retransmit window", resume, first)
+				}
+				if frames == 0 {
+					l.written, l.wIdx, l.wOff = pos, i, off
+				}
+				frames++
+				from := first
+				if expect > from {
+					from = expect
+				}
+				tuples += last - from + 1
+				expect = last + 1
+			}
+			off += size
+			pos += uint64(size)
 		}
-		if err := emit(s.buf); err != nil {
-			return frames, tuples, err
-		}
-		frames++
-		from := s.first
-		if resume+1 > from {
-			from = resume + 1
-		}
-		tuples += s.last - from + 1
-		expect = s.last + 1
 	}
 	return frames, tuples, nil
 }

@@ -29,12 +29,20 @@ type TransportConfig struct {
 	// BlockTimeout bounds a blocked export when DropOnFull is unset
 	// (default 1s); on expiry the tuple is dropped and counted.
 	BlockTimeout time.Duration
-	// RetransmitCapacity sizes the export's retransmit window — the encoded
-	// frames held until the receiver acknowledges them, rounded up to a
-	// power of two (default 1024 frames). It bounds both resume traffic
-	// after a reconnect and the memory pinned per stream; a full window
-	// blocks the writer until acknowledgements arrive.
-	RetransmitCapacity int
+	// RetransmitBytes is the byte budget of the export's block log — the
+	// block memory holding encoded frames until the receiver acknowledges
+	// them (default 1 MiB, four acknowledgement periods; 128 MiB when Launch
+	// gates acks at the checkpoint floor; at least two 64 KiB blocks). It
+	// bounds both resume traffic after a reconnect and the memory held per
+	// stream, and a spent budget blocks the writer until acknowledgements
+	// arrive. The ungated default is deliberately small: a sender whose
+	// receiver is the bottleneck fills whatever window it is given, kernel
+	// socket buffers included, so the budget is the edge's standing queue —
+	// memory every byte of which is written and read once per pass, and which
+	// stays cache-resident only while it is short. A checkpoint-gated import
+	// asks for an early cut once half of the budget has arrived past the last
+	// commit.
+	RetransmitBytes int
 	// ReconnectBaseDelay/ReconnectMaxDelay bound the export's redial
 	// backoff after a lost connection: capped exponential growth from base
 	// to max, with jitter (defaults 10ms / 500ms).
@@ -43,19 +51,20 @@ type TransportConfig struct {
 	// PerTupleFrames selects the v1 wire format: one frame per tuple,
 	// byte-identical to the pre-batch transport (the A/B switch behind
 	// streamrun's -wirebatch flag). The default encodes each writer drain
-	// as one v2 batch frame, amortizing header, retransmit-slot, and
-	// buffer-append costs across the batch.
+	// as one v2 batch frame, amortizing header and log-append costs across
+	// the batch.
 	PerTupleFrames bool
 }
 
 const (
-	defaultRingCapacity       = 1024
-	defaultFlushBytes         = 32 << 10
-	defaultMaxFlushDelay      = time.Millisecond
-	defaultBlockTimeout       = time.Second
-	defaultRetransmitCapacity = 1024
-	defaultReconnectBase      = 10 * time.Millisecond
-	defaultReconnectMax       = 500 * time.Millisecond
+	defaultRingCapacity    = 1024
+	defaultFlushBytes      = 32 << 10
+	defaultMaxFlushDelay   = time.Millisecond
+	defaultBlockTimeout    = time.Second
+	defaultRetransmitBytes = 1 << 20
+	gatedRetransmitBytes   = 128 << 20
+	defaultReconnectBase   = 10 * time.Millisecond
+	defaultReconnectMax    = 500 * time.Millisecond
 )
 
 // withDefaults fills zero fields and rounds the ring capacity up to the
@@ -79,14 +88,11 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	if c.BlockTimeout <= 0 {
 		c.BlockTimeout = defaultBlockTimeout
 	}
-	if c.RetransmitCapacity <= 0 {
-		c.RetransmitCapacity = defaultRetransmitCapacity
+	if c.RetransmitBytes <= 0 {
+		c.RetransmitBytes = defaultRetransmitBytes
 	}
-	if c.RetransmitCapacity < 2 {
-		c.RetransmitCapacity = 2
-	}
-	if c.RetransmitCapacity&(c.RetransmitCapacity-1) != 0 {
-		c.RetransmitCapacity = 1 << bits.Len(uint(c.RetransmitCapacity))
+	if c.RetransmitBytes < 2*logBlockBytes {
+		c.RetransmitBytes = 2 * logBlockBytes
 	}
 	if c.ReconnectBaseDelay <= 0 {
 		c.ReconnectBaseDelay = defaultReconnectBase

@@ -45,9 +45,16 @@ const closeFlushTimeout = 2 * time.Second
 // handshakeTimeout bounds the resume-sequence read after a (re)connect.
 const handshakeTimeout = 5 * time.Second
 
-// ackEvery is the receive side's inline acknowledgement cadence: one ack
-// per this many delivered frames, with a ticker covering the idle tail.
-const ackEvery = 256
+// ackEvery and ackEveryBytes are the receive side's inline acknowledgement
+// cadence: one ack per this many delivered frames or wire bytes, whichever
+// comes first, with a ticker covering the idle tail. The byte bound — a
+// quarter of the sender's default window — keeps bulk edges flowing: 256
+// frames of 64 KiB are sixteen such windows, which would leave the writer
+// waiting for the tick.
+const (
+	ackEvery      = 256
+	ackEveryBytes = 256 << 10
+)
 
 // ackTickInterval paces the receive side's idle-tail acknowledgements.
 const ackTickInterval = 50 * time.Millisecond
@@ -72,9 +79,9 @@ var errExportWindowFull = errors.New("pe: retransmit window full at close")
 // exportOp is the terminal operator standing in for a cross-PE stream's
 // sending side. Process stages a pooled clone of each tuple into a
 // lock-free MPMC ring; a dedicated writer goroutine drains the ring in
-// batches, assigns each frame a wire sequence, parks its encoded bytes in a
-// bounded retransmit ring until the receiver acknowledges them, and
-// coalesces frames into large buffered writes flushed by policy.
+// batches, assigns each frame a wire sequence, marshals it into a
+// byte-budgeted block log that holds it until the receiver acknowledges it,
+// and writes the log's unsent tail to the socket by flush policy.
 //
 // The writer survives peer death: it redials with capped exponential
 // backoff plus jitter, reads the receiver's resume sequence on every
@@ -101,8 +108,8 @@ type exportOp struct {
 	rec   *obs.FlightRecorder
 	recPE int32
 
-	mu    sync.Mutex // guards connect/close transitions and conn epochs
-	conn  net.Conn   // current epoch's connection, for close()
+	mu    sync.Mutex    // guards connect/close transitions and conn epochs
+	conn  net.Conn      // current epoch's connection, for close()
 	thaw  chan struct{} // non-nil exactly while the edge is frozen
 	ring  *queue.MPMC[*spl.Tuple]
 	wake  chan struct{}
@@ -131,14 +138,15 @@ type exportOp struct {
 	reconnects atomic.Uint64 // successful re-attaches after a lost connection
 	corrupts   atomic.Uint64 // injected frame corruptions
 	unacked    atomic.Uint64 // staged frames never acknowledged, set at close
+	window     atomic.Int64  // block memory the log retains for replay
 	bytes      atomic.Uint64
 	flushes    atomic.Uint64
 	batches    batchHist
 }
 
 var (
-	_ spl.Operator   = (*exportOp)(nil)
-	_ spl.Recyclable = (*exportOp)(nil)
+	_ spl.BatchProcessor = (*exportOp)(nil)
+	_ spl.Recyclable     = (*exportOp)(nil)
 )
 
 func newExportOp(name string) *exportOp {
@@ -156,7 +164,7 @@ func (x *exportOp) RecyclesTuples() {}
 // connect attaches the stream's first connection and starts the writer
 // goroutine; must happen before the engine starts. A non-empty addr enables
 // reconnection: on a lost connection the writer redials it and resumes from
-// the retransmit ring. With addr empty the first connection is the only
+// the block log. With addr empty the first connection is the only
 // one, and losing it fails the stream permanently (tuples drop-and-count).
 func (x *exportOp) connect(conn net.Conn, addr string) error {
 	x.mu.Lock()
@@ -233,6 +241,16 @@ func (x *exportOp) localDrained() bool {
 	return x.closed.Load() && x.ring.Len() == 0
 }
 
+// exportStageChunk bounds how many clones ProcessBatch stages per ring push
+// (its scratch lives on the stack).
+const exportStageChunk = 64
+
+// accepting reports whether the stream can stage tuples at all: wired, not
+// closed, not permanently failed.
+func (x *exportOp) accepting() bool {
+	return x.wired.Load() && !x.closed.Load() && !x.failed.Load()
+}
+
 // Process stages the tuple for the writer goroutine. Tuples arriving before
 // the stream is wired, after close, or after a permanent failure are
 // counted as dropped; a full staging ring blocks the producing scheduler
@@ -240,7 +258,7 @@ func (x *exportOp) localDrained() bool {
 // the old write-per-tuple path) or drops immediately when DropOnFull is
 // configured.
 func (x *exportOp) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
-	if !x.wired.Load() || x.closed.Load() || x.failed.Load() {
+	if !x.accepting() {
 		x.dropped.Add(1)
 		return
 	}
@@ -249,48 +267,92 @@ func (x *exportOp) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
 		x.wakeWriter()
 		return
 	}
-	if !x.cfg.DropOnFull {
-		// Park on the writer's space signal rather than spinning: a yield
-		// loop on a saturated box burns the producing core in scheduler
-		// churn and starves the very goroutine that must free ring slots.
-		timer := time.NewTimer(x.cfg.BlockTimeout)
-		defer timer.Stop()
-		for {
-			if x.closed.Load() || x.failed.Load() {
-				break
-			}
-			if s, ok := x.ring.TryReservePush(); ok {
-				s.Commit(t.Clone())
+	x.stageSlow(t, nil)
+}
+
+// ProcessBatch stages a compiled region's whole terminal batch: the clones
+// land in the ring with one reservation and one writer wake per push. When
+// the ring is full the next tuple takes Process's blocking/drop path (one
+// wait for space, not one per tuple) and the push resumes behind it, so
+// order, counters and backpressure are those of per-tuple staging.
+func (x *exportOp) ProcessBatch(_ int, ts []*spl.Tuple, _ spl.Emitter) {
+	if !x.accepting() {
+		x.dropped.Add(uint64(len(ts)))
+		return
+	}
+	var clones [exportStageChunk]*spl.Tuple
+	for len(ts) > 0 {
+		n := min(len(ts), len(clones))
+		for i := 0; i < n; i++ {
+			clones[i] = ts[i].Clone()
+		}
+		for off := 0; off < n; {
+			if pushed := x.ring.TryPushN(clones[off:n]); pushed > 0 {
 				x.wakeWriter()
-				return
-			}
-			if th := x.frozenThaw(); th != nil {
-				// A frozen edge parks the producer instead of dropping: the
-				// block timeout is suspended for the freeze's duration and
-				// restarts from zero at thaw.
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				select {
-				case <-th:
-				case <-x.quit:
-				}
-				timer.Reset(x.cfg.BlockTimeout)
+				off += pushed
 				continue
 			}
-			select {
-			case <-x.space:
-			case <-x.quit:
-			case <-timer.C:
-				x.dropped.Add(1)
-				return
-			}
+			x.stageSlow(ts[off], clones[off])
+			off++
+		}
+		ts = ts[n:]
+	}
+}
+
+// stageSlow is the full-ring path: drop at once under DropOnFull, else park
+// on the writer's space signal up to BlockTimeout. clone, when non-nil, is
+// t's already-made pooled clone (released if the tuple ends up dropped).
+func (x *exportOp) stageSlow(t, clone *spl.Tuple) {
+	drop := func() {
+		x.dropped.Add(1)
+		if clone != nil {
+			clone.Release()
 		}
 	}
-	x.dropped.Add(1)
+	if x.cfg.DropOnFull {
+		drop()
+		return
+	}
+	// Park on the writer's space signal rather than spinning: a yield
+	// loop on a saturated box burns the producing core in scheduler
+	// churn and starves the very goroutine that must free ring slots.
+	timer := time.NewTimer(x.cfg.BlockTimeout)
+	defer timer.Stop()
+	for !x.closed.Load() && !x.failed.Load() {
+		if s, ok := x.ring.TryReservePush(); ok {
+			if clone == nil {
+				clone = t.Clone()
+			}
+			s.Commit(clone)
+			x.wakeWriter()
+			return
+		}
+		if th := x.frozenThaw(); th != nil {
+			// A frozen edge parks the producer instead of dropping: the
+			// block timeout is suspended for the freeze's duration and
+			// restarts from zero at thaw.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			select {
+			case <-th:
+			case <-x.quit:
+			}
+			timer.Reset(x.cfg.BlockTimeout)
+			continue
+		}
+		select {
+		case <-x.space:
+		case <-x.quit:
+		case <-timer.C:
+			drop()
+			return
+		}
+	}
+	drop()
 }
 
 // freeze parks the stream: the writer goroutine stops staging frames (it
@@ -392,11 +454,11 @@ func (x *exportOp) setConn(conn net.Conn) {
 	x.mu.Unlock()
 }
 
-// writerState is the writer goroutine's cross-epoch state: the retransmit
-// window, the next wire sequence, and tuples popped from the staging ring
-// but not yet staged when an epoch died.
+// writerState is the writer goroutine's cross-epoch state: the block log
+// (write buffer and retransmit window), the next wire sequence, and tuples
+// popped from the staging ring but not yet staged when an epoch died.
 type writerState struct {
-	retr    *retransRing
+	log     *blockLog
 	nextSeq uint64
 	batch   []*spl.Tuple
 	pending []*spl.Tuple
@@ -404,11 +466,10 @@ type writerState struct {
 	closing bool
 }
 
-// connSession is one connection epoch: its encoder and the ack-reader
+// connSession is one connection epoch: its socket and the ack-reader
 // goroutine draining the receiver's acknowledgement back-channel.
 type connSession struct {
 	conn    net.Conn
-	enc     *encoder
 	ackDone chan struct{}
 }
 
@@ -425,7 +486,7 @@ func (s *connSession) teardown() {
 func (x *exportOp) writerLoop(first net.Conn) {
 	defer close(x.done)
 	st := &writerState{
-		retr:    newRetransRing(x.cfg.RetransmitCapacity),
+		log:     newBlockLog(x.cfg.RetransmitBytes),
 		nextSeq: x.seedSeq,
 		batch:   make([]*spl.Tuple, writerBatchTuples),
 	}
@@ -468,6 +529,9 @@ func (x *exportOp) writerLoop(first net.Conn) {
 // attach performs the resume handshake on a fresh connection: read the
 // receiver's delivered watermark (bounded by handshakeTimeout), start the
 // ack reader, and retransmit every staged frame past the watermark.
+// Retransmit granularity is the frame: a batch frame only partially past the
+// watermark is rewritten whole and the importer's sequence dedup drops the
+// overlap.
 func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var hb [8]byte
@@ -481,16 +545,11 @@ func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) 
 		resume = st.nextSeq
 	}
 	storeMax(&x.acked, resume)
-	sess := &connSession{conn: conn, enc: newEncoder(conn), ackDone: make(chan struct{})}
+	sess := &connSession{conn: conn, ackDone: make(chan struct{})}
 	go x.ackReader(conn, sess.ackDone)
-	// Retransmit granularity is the frame: a batch frame only partially past
-	// the watermark is rewritten whole and the importer's sequence dedup
-	// drops the overlap.
-	frames, tuples, err := st.retr.framesAfter(resume, func(frame []byte) error {
-		return x.writeBytes(sess, frame)
-	})
+	frames, tuples, err := st.log.resumeFrom(resume)
 	x.retrans.Add(uint64(frames))
-	x.retransT.Add(uint64(tuples))
+	x.retransT.Add(tuples)
 	if err != nil {
 		return sess, err
 	}
@@ -498,10 +557,8 @@ func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) 
 		// One event per resume burst (tuple count), not per frame.
 		x.rec.Record(obs.EvRetransmit, x.recPE, int64(x.site), int64(tuples), "")
 	}
-	if frames > 0 {
-		if err := x.flushSess(sess); err != nil {
-			return sess, err
-		}
+	if err := x.flushSess(sess, st); err != nil {
+		return sess, err
 	}
 	x.progress.Store(time.Now().UnixNano())
 	return sess, nil
@@ -561,7 +618,7 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 			// (seqHigh) stops moving and quiescence can be observed. The
 			// freeze survives connection epochs: a reroute closes the
 			// connection, ackDone fires, the next epoch parks here again.
-			if x.flushSess(sess) != nil {
+			if x.flushSess(sess, st) != nil {
 				return
 			}
 			x.parked.Store(true)
@@ -588,8 +645,8 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 		}
 		n := x.ring.TryPopN(st.batch)
 		if n == 0 {
-			if sess.enc.buffered() > 0 {
-				if x.flushSess(sess) != nil {
+			if st.log.buffered() > 0 {
+				if x.flushSess(sess, st) != nil {
 					return
 				}
 				pendingSince = time.Time{}
@@ -602,6 +659,13 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 			select {
 			case <-x.wake:
 				x.parked.Store(false)
+				continue
+			case <-x.ackSig:
+				// Idle and acknowledged: hand the blocks back now, so the
+				// window gauge falls with the acks and not at the next drain.
+				x.parked.Store(false)
+				st.log.release(x.acked.Load())
+				x.window.Store(int64(st.log.retained))
 				continue
 			case <-sess.ackDone:
 				x.parked.Store(false)
@@ -625,18 +689,18 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 			}
 			return
 		}
-		if sess.enc.buffered() >= x.cfg.FlushBytes {
-			if x.flushSess(sess) != nil {
+		if st.log.buffered() >= x.cfg.FlushBytes {
+			if x.flushSess(sess, st) != nil {
 				return
 			}
 			pendingSince = time.Time{}
-		} else if sess.enc.buffered() > 0 {
+		} else if st.log.buffered() > 0 {
 			now := time.Now()
 			switch {
 			case pendingSince.IsZero():
 				pendingSince = now
 			case now.Sub(pendingSince) >= x.cfg.MaxFlushDelay:
-				if x.flushSess(sess) != nil {
+				if x.flushSess(sess, st) != nil {
 					return
 				}
 				pendingSince = time.Time{}
@@ -649,44 +713,47 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 }
 
 // stagePending assigns wire sequences to the writer's pending tuples,
-// parks their encoded frames in the retransmit window (waiting for
-// acknowledgements when the window is full), releases the pooled clones,
-// and writes the frames to the connection. The default encodes each ring
-// drain as v2 batch frames; PerTupleFrames selects the v1 frame-per-tuple
-// wire, byte-identical to the pre-batch transport. Chaos hooks fire here in
-// both modes — see stageBatch for the mid-batch-frame semantics.
+// marshals their frames into the block log (waiting for acknowledgements
+// when the byte budget is spent), and releases the pooled clones; the frames
+// reach the socket at the next flush. The default encodes each ring drain as
+// v2 batch frames; PerTupleFrames selects the v1 frame-per-tuple wire,
+// byte-identical to the pre-batch transport. Chaos hooks fire here in both
+// modes — see stageBatch for the mid-batch-frame semantics.
 func (x *exportOp) stagePending(sess *connSession, st *writerState) error {
+	var err error
 	if x.cfg.PerTupleFrames {
-		return x.stagePerTuple(sess, st)
+		err = x.stagePerTuple(sess, st)
+	} else {
+		err = x.stageBatch(sess, st)
 	}
-	return x.stageBatch(sess, st)
+	x.window.Store(int64(st.log.retained))
+	return err
 }
 
-// stagePerTuple is the v1 wire: one frame, one retransmit slot, and one
-// chaos-hook evaluation per tuple.
+// stagePerTuple is the v1 wire: one frame and one chaos-hook evaluation per
+// tuple.
 func (x *exportOp) stagePerTuple(sess *connSession, st *writerState) error {
 	for st.pHead < len(st.pending) {
 		t := st.pending[st.pHead]
-		if err := x.awaitWindow(sess, st); err != nil {
-			return err
-		}
-		seq := st.nextSeq + 1
-		frame, err := st.retr.putTuple(seq, t)
-		if err != nil {
+		size := v1FrameBytes(t)
+		if size-4 > maxFrameBytes {
 			// The tuple cannot be framed at all (oversized); count and drop.
 			x.dropped.Add(1)
 			t.Release()
-			st.pending[st.pHead] = nil
-			st.pHead++
+			clearPending(st, 1)
 			continue
 		}
-		st.nextSeq = seq
-		x.seqHigh.Store(seq)
+		if err := x.awaitWindow(sess, st, size); err != nil {
+			return err
+		}
+		mark := st.log.appended
+		st.nextSeq++
+		st.log.appendTuple(st.nextSeq, t)
+		x.seqHigh.Store(st.nextSeq)
 		x.sent.Add(1)
 		x.wireFrames.Add(1)
 		t.Release()
-		st.pending[st.pHead] = nil
-		st.pHead++
+		clearPending(st, 1)
 		if x.inj != nil {
 			if x.inj.Fire(fault.ConnKill, x.site) {
 				_ = sess.conn.Close()
@@ -696,11 +763,8 @@ func (x *exportOp) stagePerTuple(sess *connSession, st *writerState) error {
 			}
 			if x.inj.Fire(fault.FrameCorrupt, x.site) {
 				x.corrupts.Add(1)
-				return x.writeCorrupted(sess)
+				return x.writeCorrupted(sess, st, mark)
 			}
-		}
-		if err := x.writeBytes(sess, frame); err != nil {
-			return err
 		}
 	}
 	st.pending = st.pending[:0]
@@ -710,21 +774,17 @@ func (x *exportOp) stagePerTuple(sess *connSession, st *writerState) error {
 
 // stageBatch is the v2 wire: the pending drain is cut into chunks that fit
 // batchTargetBytes (almost always one chunk — a full writerBatchTuples drain
-// of small tuples is a few KiB; bulk tuples split so frames stay pool-sized)
-// and each chunk becomes one batch frame: one
-// marshal, one retransmit slot, one buffered write. Chaos hooks still fire
-// once per tuple, in staging order, so a fault plan's Nth event lands on the
-// same tuple in either wire mode and same-seed event logs stay
-// byte-identical; the hook *effects* are applied per frame after all of the
-// chunk's events are ranked — a kill closes the socket, a stall sleeps, and
-// a corruption poisons the wire in place of the whole just-staged frame,
-// which rides the retransmit window to the next epoch (the mid-batch-frame
-// fault surface).
+// of small tuples is a few KiB; bulk tuples split so a frame fills one log
+// block) and each chunk becomes one batch frame, marshalled once, straight
+// into the log. Chaos hooks still fire once per tuple, in staging order, so a
+// fault plan's Nth event lands on the same tuple in either wire mode and
+// same-seed event logs stay byte-identical; the hook *effects* are applied
+// per frame after all of the chunk's events are ranked — a kill closes the
+// socket, a stall sleeps, and a corruption poisons the wire in place of the
+// whole just-staged frame, which rides the window to the next epoch (the
+// mid-batch-frame fault surface).
 func (x *exportOp) stageBatch(sess *connSession, st *writerState) error {
 	for st.pHead < len(st.pending) {
-		if err := x.awaitWindow(sess, st); err != nil {
-			return err
-		}
 		// Cut the next chunk, dropping tuples too large to frame even alone.
 		k, prev, body := 0, 0, batchHeaderBytes
 		for st.pHead+k < len(st.pending) {
@@ -736,8 +796,7 @@ func (x *exportOp) stageBatch(sess *connSession, st *writerState) error {
 				}
 				x.dropped.Add(1)
 				t.Release()
-				st.pending[st.pHead] = nil
-				st.pHead++
+				clearPending(st, 1)
 				continue
 			}
 			if k > 0 && body+add > batchTargetBytes {
@@ -753,18 +812,12 @@ func (x *exportOp) stageBatch(sess *connSession, st *writerState) error {
 		if k == 0 {
 			continue // everything left was oversized and dropped
 		}
-		first := st.nextSeq + 1
-		chunk := st.pending[st.pHead : st.pHead+k]
-		frame, err := st.retr.putBatch(first, chunk)
-		if err != nil {
-			// Cannot happen: the chunk was sized to fit. Fail closed anyway.
-			for _, t := range chunk {
-				x.dropped.Add(1)
-				t.Release()
-			}
-			clearPending(st, k)
-			continue
+		if err := x.awaitWindow(sess, st, 4+body); err != nil {
+			return err
 		}
+		mark := st.log.appended
+		chunk := st.pending[st.pHead : st.pHead+k]
+		st.log.appendBatch(st.nextSeq+1, chunk, body)
 		st.nextSeq += uint64(k)
 		x.seqHigh.Store(st.nextSeq)
 		x.sent.Add(uint64(k))
@@ -798,11 +851,8 @@ func (x *exportOp) stageBatch(sess *connSession, st *writerState) error {
 				time.Sleep(stall)
 			}
 			if corrupted {
-				return x.writeCorrupted(sess)
+				return x.writeCorrupted(sess, st, mark)
 			}
-		}
-		if err := x.writeBytes(sess, frame); err != nil {
-			return err
 		}
 	}
 	st.pending = st.pending[:0]
@@ -818,11 +868,11 @@ func clearPending(st *writerState, k int) {
 	st.pHead += k
 }
 
-// awaitWindow blocks until the retransmit window has room for one more
-// frame, flushing first so the receiver can acknowledge what it has.
-func (x *exportOp) awaitWindow(sess *connSession, st *writerState) error {
-	for st.retr.full(x.acked.Load()) {
-		if err := x.flushSess(sess); err != nil {
+// awaitWindow blocks until the block log has room for a frame of n bytes,
+// flushing first so the receiver can acknowledge what it has.
+func (x *exportOp) awaitWindow(sess *connSession, st *writerState, n int) error {
+	for st.log.full(n, x.acked.Load()) {
+		if err := x.flushSess(sess, st); err != nil {
 			return err
 		}
 		if st.closing {
@@ -849,35 +899,38 @@ func (x *exportOp) awaitWindow(sess *connSession, st *writerState) error {
 	return nil
 }
 
-// writeCorrupted poisons the wire with an invalid length prefix and flushes
-// it, so the receiver rejects the stream and resets the connection. The
-// just-staged frame was deliberately not written; it rides the retransmit
-// window to the next epoch.
-func (x *exportOp) writeCorrupted(sess *connSession) error {
-	var bad [4]byte
-	binary.LittleEndian.PutUint32(bad[:], ^uint32(0))
-	if _, err := sess.enc.writeBytes(bad[:]); err != nil {
+// writeCorrupted sends what was staged before the log position mark, then
+// poisons the wire with an invalid length prefix so the receiver rejects the
+// stream and resets the connection. The frame staged at mark is deliberately
+// withheld: the written cursor steps over it and it rides the window to the
+// next epoch.
+func (x *exportOp) writeCorrupted(sess *connSession, st *writerState, mark uint64) error {
+	if err := x.flushTo(sess, st, mark); err != nil {
 		return err
 	}
-	if err := x.flushSess(sess); err != nil {
+	st.log.skip()
+	var bad [4]byte
+	binary.LittleEndian.PutUint32(bad[:], ^uint32(0))
+	if _, err := sess.conn.Write(bad[:]); err != nil {
 		return err
 	}
 	return fmt.Errorf("pe: export %s injected frame corruption", x.name)
 }
 
-// writeBytes writes one encoded frame, counting wire bytes.
-func (x *exportOp) writeBytes(sess *connSession, frame []byte) error {
-	nb, err := sess.enc.writeBytes(frame)
-	x.bytes.Add(uint64(nb))
-	return err
+// flushSess hands every staged byte to the connection.
+func (x *exportOp) flushSess(sess *connSession, st *writerState) error {
+	return x.flushTo(sess, st, st.log.appended)
 }
 
-// flushSess pushes buffered frames onto the connection.
-func (x *exportOp) flushSess(sess *connSession) error {
-	if sess.enc.buffered() == 0 {
+// flushTo writes the log's unsent bytes up to position upTo onto the
+// connection, straight from block memory, counting wire bytes and the flush.
+func (x *exportOp) flushTo(sess *connSession, st *writerState, upTo uint64) error {
+	if st.log.written >= upTo {
 		return nil
 	}
-	if err := sess.enc.flush(); err != nil {
+	nb, err := st.log.flush(sess.conn, upTo)
+	x.bytes.Add(uint64(nb))
+	if err != nil {
 		return err
 	}
 	x.flushes.Add(1)
@@ -912,7 +965,7 @@ func (x *exportOp) finalDrain(sess *connSession, st *writerState) {
 		}
 		runtime.Gosched()
 	}
-	_ = x.flushSess(sess)
+	_ = x.flushSess(sess, st)
 }
 
 // dropPending drops-and-counts tuples popped from the staging ring but
@@ -985,6 +1038,9 @@ func (x *exportOp) finish(st *writerState) {
 	if a := x.acked.Load(); a < st.nextSeq {
 		x.unacked.Store(st.nextSeq - a)
 	}
+	// The stream is over: nothing can be replayed any more, so the blocks go.
+	st.log = nil
+	x.window.Store(0)
 }
 
 // redial re-establishes the stream connection with capped exponential
@@ -1042,6 +1098,10 @@ func (x *exportOp) Reconnects() uint64 { return x.reconnects.Load() }
 
 // Unacked returns the staged frames never acknowledged, recorded at close.
 func (x *exportOp) Unacked() uint64 { return x.unacked.Load() }
+
+// UnackedBytes returns the block memory the stream retains for replay: the
+// blocks holding frames the receiver has not acknowledged yet.
+func (x *exportOp) UnackedBytes() int64 { return x.window.Load() }
 
 // StagedDepth returns the staging ring's instantaneous depth.
 func (x *exportOp) StagedDepth() int {
@@ -1114,8 +1174,8 @@ func (x *exportOp) close() {
 //
 // The import owns the stream's listener (when launched as part of a job):
 // after a connection dies it accepts the sender's redial, replies with its
-// delivered wire-sequence watermark so the sender resumes from the
-// retransmit ring, and deduplicates by wire sequence — retransmitted frames
+// delivered wire-sequence watermark so the sender resumes from its block
+// log, and deduplicates by wire sequence — retransmitted frames
 // it already delivered drop-and-count, making the at-least-once wire
 // exactly-once downstream.
 type importSource struct {
@@ -1168,11 +1228,29 @@ type importSource struct {
 	// coordinator stamps it on each epoch under the pause barrier.
 	// ackFloor caps the acknowledgement watermark reported upstream:
 	// while gated (checkpointing on), acks never pass the last committed
-	// checkpoint, so the export's retransmit ring provably retains the
-	// replay range (floor, head]. MaxUint64 means ungated (today's
-	// behavior).
+	// checkpoint, so the export's block log provably retains the replay
+	// range (floor, head]. MaxUint64 means ungated. ackKick wakes the
+	// current connection's ack ticker when the floor advances, so the sender
+	// frees the committed blocks at once instead of at the next tick.
 	emitted  atomic.Uint64
 	ackFloor atomic.Uint64
+	ackKick  chan struct{}
+
+	// Commit-on-pressure (armed with the ack gate, see armPressure). winBytes
+	// is the block memory the delivered frames cost the sender's log, charged
+	// exactly as the log charges it (blockCharge over pressRoom); cutBytes is
+	// its value at the last cut and commitBytes at the last committed one, so
+	// winBytes-commitBytes is the window the sender is holding for replay.
+	// When that passes pressHigh the reader asks the checkpointer for an
+	// early cut through pressCut. pressRoom and reqBytes (winBytes at the
+	// last request) belong to the reader goroutine.
+	pressHigh   atomic.Uint64
+	pressCut    func()
+	winBytes    atomic.Uint64
+	cutBytes    atomic.Uint64
+	commitBytes atomic.Uint64
+	pressRoom   int
+	reqBytes    uint64
 
 	// pendingRewind, guarded by mu, is a recovery request: the reader
 	// loop applies it between connection epochs (see rewind).
@@ -1193,7 +1271,7 @@ var (
 )
 
 func newImportSource(name string) *importSource {
-	s := &importSource{name: name}
+	s := &importSource{name: name, ackKick: make(chan struct{}, 1)}
 	s.ackFloor.Store(^uint64(0)) // ungated until checkpointing arms the gate
 	return s
 }
@@ -1212,9 +1290,51 @@ func (s *importSource) seedWatermark(n uint64) {
 // at wiring time, before the engine starts.
 func (s *importSource) gateAcks() { s.ackFloor.Store(0) }
 
+// armPressure turns commit-on-pressure on: once high bytes of sender block
+// memory have arrived past the last committed cut, the reader calls cut (the
+// PE checkpointer's non-blocking RequestCut). Called once at wiring time,
+// before the engine starts.
+func (s *importSource) armPressure(high uint64, cut func()) {
+	s.pressCut = cut
+	s.pressHigh.Store(high)
+}
+
 // advanceAckFloor raises the ack floor to the committed checkpoint
-// watermark (floor only ever advances).
-func (s *importSource) advanceAckFloor(wm uint64) { storeMax(&s.ackFloor, wm) }
+// watermark (floor only ever advances), moves the pressure gauge's base to
+// that cut, and acknowledges upstream at once: every block below the floor
+// is window the sender holds for nothing.
+func (s *importSource) advanceAckFloor(wm uint64) {
+	storeMax(&s.ackFloor, wm)
+	s.commitBytes.Store(s.cutBytes.Load())
+	select {
+	case s.ackKick <- struct{}{}:
+	default:
+	}
+}
+
+// notePressure charges one delivered frame to the pressure gauge and asks
+// for an early cut when the window past the last commit reaches the
+// high-water mark — once per mark: the next request waits for a commit to
+// move the base or for another mark's worth of traffic. Reader goroutine
+// only.
+func (s *importSource) notePressure(frameBytes int) {
+	high := s.pressHigh.Load()
+	if high == 0 {
+		return
+	}
+	charge := blockCharge(&s.pressRoom, frameBytes)
+	if charge == 0 {
+		return
+	}
+	w := s.winBytes.Add(uint64(charge))
+	commit := s.commitBytes.Load()
+	if base := max(commit, s.reqBytes); w-base < high {
+		return
+	}
+	s.reqBytes = w
+	s.rec.Record(obs.EvPressureCut, s.recPE, int64(s.site), int64(w-commit), "")
+	s.pressCut()
+}
 
 // ackView caps an acknowledgement value at the ack floor.
 func (s *importSource) ackView(v uint64) uint64 {
@@ -1224,14 +1344,18 @@ func (s *importSource) ackView(v uint64) uint64 {
 	return v
 }
 
-// emitWatermark returns the wire sequence of the last tuple emitted
-// downstream; the checkpoint coordinator reads it under the pause barrier.
-func (s *importSource) emitWatermark() uint64 { return s.emitted.Load() }
+// cutWatermark returns the wire sequence of the last tuple emitted
+// downstream and marks the pressure gauge's position for this cut; the
+// checkpoint coordinator calls it under the pause barrier.
+func (s *importSource) cutWatermark() uint64 {
+	s.cutBytes.Store(s.winBytes.Load())
+	return s.emitted.Load()
+}
 
 // rewind rolls the import back to checkpoint watermark `to`: the current
 // connection epoch is killed, tuples decoded-but-not-processed are
 // released, and the dedup/resume watermarks reset so the next handshake
-// makes the sender retransmit (to, head] from its ring. Called with the
+// makes the sender retransmit (to, head] from its log. Called with the
 // engine paused, so no Next is in flight; replayed tuples re-enter the
 // pipeline exactly as live ones. No-op on local edges, closed streams, or
 // when `to` is ahead of this stream's delivery (foreign watermark).
@@ -1240,8 +1364,7 @@ func (s *importSource) rewind(to uint64) {
 		return
 	}
 	s.mu.Lock()
-	q := s.inq
-	if q == nil || to > s.delivered.Load() || s.pendingRewind != nil {
+	if s.inq == nil || to > s.delivered.Load() || s.pendingRewind != nil {
 		s.mu.Unlock()
 		return
 	}
@@ -1253,37 +1376,21 @@ func (s *importSource) rewind(to uint64) {
 	if conn != nil {
 		_ = conn.Close()
 	}
-	// Drain the injection ring while waiting: the reader may be blocked
-	// pushing a decoded batch into a full ring and must finish its epoch
-	// before the rewind can apply. The timeout only guards pathological
-	// shutdown races (no live connection and no redial); a late apply is
-	// still safe — it just re-delivers tuples the dedup downstream drops.
+	// The reader may be blocked pushing a decoded batch into a full ring (the
+	// engine is paused) and must finish its epoch before the rewind can
+	// apply: wake it, and pushBatch gives up on seeing the rewind. Only
+	// applyRewind empties the ring — draining it from here would race the
+	// next epoch and throw replayed tuples away. The timeout only guards
+	// pathological shutdown races (no live connection and no redial); a late
+	// apply is still safe — it just re-delivers tuples the dedup downstream
+	// drops.
+	s.signalInSpace()
 	timeout := time.NewTimer(5 * time.Second)
 	defer timeout.Stop()
-	poll := time.NewTicker(time.Millisecond)
-	defer poll.Stop()
-	var drain [importBatchMax]*spl.Tuple
-	for {
-		for {
-			n := q.TryPopN(drain[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				drain[i].Release()
-				drain[i] = nil
-			}
-			s.signalInSpace()
-		}
-		select {
-		case <-req.done:
-			return
-		case <-ended:
-			return // stream ended underneath the rewind
-		case <-timeout.C:
-			return
-		case <-poll.C:
-		}
+	select {
+	case <-req.done:
+	case <-ended: // stream ended underneath the rewind
+	case <-timeout.C:
 	}
 }
 
@@ -1311,6 +1418,10 @@ func (s *importSource) applyRewind(q *queue.MPMC[*spl.Tuple]) {
 	}
 	s.delivered.Store(req.to)
 	s.emitted.Store(req.to)
+	// The replayed range is already in the sender's log: charge it once.
+	commit := s.commitBytes.Load()
+	s.winBytes.Store(commit)
+	s.reqBytes, s.pressRoom = commit, 0
 	s.rewinding.Store(false)
 	close(req.done)
 }
@@ -1406,7 +1517,8 @@ func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done c
 // or v2 batch), dropping tuples whose wire sequences sit at or below the
 // watermark (retransmitted duplicates — within a batch frame the overlap is
 // always a prefix, since sequences ascend) and acknowledging delivery
-// inline every ackEvery frames with a ticker covering the idle tail. A
+// inline every ackEvery frames or ackEveryBytes with a ticker covering the
+// idle tail (and a kick from the checkpoint commit path). A
 // decoded batch lands in the injection ring with TryPushN; a full ring
 // blocks the reader on the operator thread's space signal, which is the
 // same backpressure the old per-tuple channel send applied.
@@ -1432,7 +1544,7 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 	}
 	// Every acknowledgement — handshake included — is capped at the ack
 	// floor: with checkpointing armed, frames above the last committed
-	// watermark stay in the sender's retransmit ring so a recovery rewind
+	// watermark stay in the sender's block log so a recovery rewind
 	// can replay them. The resume/dedup watermark (delivered) is NOT
 	// capped; excess retransmits after a reconnect are dropped as dups.
 	if !writeU64(s.ackView(s.delivered.Load())) {
@@ -1452,10 +1564,11 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 			case <-stopTick:
 				return
 			case <-tick.C:
-				d := s.ackView(s.delivered.Load())
-				if d != tickAcked.Load() && writeU64(d) {
-					tickAcked.Store(d)
-				}
+			case <-s.ackKick:
+			}
+			d := s.ackView(s.delivered.Load())
+			if d != tickAcked.Load() && writeU64(d) {
+				tickAcked.Store(d)
 			}
 		}
 	}()
@@ -1464,7 +1577,7 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 		<-tickDone
 	}()
 	dec := newDecoder(conn)
-	sinceAck := 0
+	sinceAck, sinceAckBytes := 0, 0
 	scratch := make([]*spl.Tuple, maxBatchTuples)
 	for {
 		n, first, err := dec.decodeFrame(scratch)
@@ -1508,10 +1621,13 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 			return // closing or rewinding; unpushed tuples released
 		}
 		s.received.Add(uint64(j))
+		s.notePressure(dec.lastFrameBytes())
 		sinceAck++
-		if sinceAck >= ackEvery {
-			sinceAck = 0
-			if a := s.ackView(last); writeU64(a) {
+		sinceAckBytes += dec.lastFrameBytes()
+		if sinceAck >= ackEvery || sinceAckBytes >= ackEveryBytes {
+			sinceAck, sinceAckBytes = 0, 0
+			// Gated, the view sits at the floor between commits: say it once.
+			if a := s.ackView(last); a != tickAcked.Load() && writeU64(a) {
 				tickAcked.Store(a)
 			}
 		}
