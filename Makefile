@@ -11,9 +11,10 @@ BENCH_OUT  := BENCH_1.json
 # plus the zero-alloc encode/decode microbenchmarks.
 BENCH_PE_OUT := BENCH_2.json
 
-# Work-stealing scheduler benchmarks: shared-MPMC vs stealing on the
-# contended fan-in shape at 2/4/8/16 workers, plus the deque
-# microbenchmarks (push/pop and steal-half, both 0 allocs/op).
+# Work-stealing scheduler benchmarks: the contended fan-in shape at
+# 2/4/8/16 workers, plus the deque microbenchmarks (push/pop and
+# steal-half, both 0 allocs/op). BENCH_4's shared-MPMC rows are history:
+# that scheduler mode is gone.
 BENCH_SCHED_OUT := BENCH_4.json
 
 # Observability benchmarks: registry instrument hot paths (counter inc,
@@ -22,14 +23,15 @@ BENCH_SCHED_OUT := BENCH_4.json
 BENCH_OBS_OUT := BENCH_5.json
 
 # Hot-path benchmarks for the shared-point-elimination round: the contended
-# fan-in worker sweep with both sink-metering modes (sharded vs the mutex
-# baseline — the Fig. 10 comparison), plus the zero-copy decode
-# microbenchmarks. Results embed GOMAXPROCS as a reported metric.
+# fan-in worker sweep with the sharded sink, plus the zero-copy decode
+# microbenchmarks. Results embed GOMAXPROCS as a reported metric. BENCH_6's
+# locked-sink (Fig. 10 baseline) rows are history: that sink is gone.
 BENCH_HOTPATH_OUT := BENCH_6.json
 
-# Region-compilation benchmarks: interpreted tuple-at-a-time vs compiled
-# batch execution on deep all-manual chains (tuples/s, 0 allocs/op both
-# modes; gomaxprocs reported).
+# Region-compilation benchmarks: compiled batch execution on deep
+# all-manual chains (tuples/s, 0 allocs/op; gomaxprocs reported). BENCH_7's
+# interpreted (scalar) rows are history: the switch that selected them is
+# gone.
 BENCH_FUSED_OUT := BENCH_7.json
 
 # Checkpoint overhead benchmarks: live keyed-pipeline throughput with
@@ -37,9 +39,10 @@ BENCH_FUSED_OUT := BENCH_7.json
 # The acceptance bar: <= 10% tuples/s loss at the 1s interval vs off.
 BENCH_CKPT_OUT := BENCH_8.json
 
-# Wire-format benchmarks: v2 batch frames vs v1 frame-per-tuple at equal
-# flush policy (BenchmarkExportImportWire), plus the batch encode/decode
-# steady-state microbenchmarks (0 allocs/op). Every row reports gomaxprocs.
+# Wire-format benchmarks: v2 batch frames end to end over loopback
+# (BenchmarkExportImportWire), plus the batch encode/decode steady-state
+# microbenchmarks (0 allocs/op). Every row reports gomaxprocs. BENCH_9's
+# v1 frame-per-tuple rows are history: that wire format is gone.
 BENCH_WIRE_OUT := BENCH_9.json
 
 # Cluster elasticity benchmarks: time-to-settle and delivery-rate dip for
@@ -78,9 +81,9 @@ bench:
 bench-pe:
 	$(GO) test -json -run '^$$' -bench 'ExportImport|SteadyState' -benchmem ./internal/pe/ > $(BENCH_PE_OUT)
 
-# bench-sched writes the scheduler comparison (tuples/s for shared vs
-# stealing on the contended fan-in, deque allocs/op) to $(BENCH_SCHED_OUT);
-# compare shared/workers=N against steal/workers=N with benchstat.
+# bench-sched writes the scheduler results (tuples/s on the contended
+# fan-in per worker count, deque allocs/op) to $(BENCH_SCHED_OUT); compare
+# steal/workers=N across commits with benchstat.
 bench-sched:
 	$(GO) test -json -run '^$$' -bench 'ContendedFanIn' -benchmem ./internal/exec/ > $(BENCH_SCHED_OUT)
 	$(GO) test -json -run '^$$' -bench 'WSDeque' -benchmem ./internal/queue/ >> $(BENCH_SCHED_OUT)
@@ -92,11 +95,9 @@ bench-sched-smoke:
 	$(GO) test -run '^$$' -bench 'WSDeque' -benchtime 1x -benchmem ./internal/queue/
 
 # bench-hotpath writes the raw-speed round 2 results to
-# $(BENCH_HOTPATH_OUT): the contended fan-in at 2/4/8/16 workers in both
-# scheduler modes with the sharded sink AND the locked-sink baseline (every
-# run reports a gomaxprocs metric — on a 1-core box the sharded/locked gap
-# collapses because nothing truly contends), plus the decode benchmarks
-# showing zero payload-copy allocs. The sweep is benchstat-ready: per-worker
+# $(BENCH_HOTPATH_OUT): the contended fan-in at 2/4/8/16 workers (every run
+# reports a gomaxprocs metric), plus the decode benchmarks showing zero
+# payload-copy allocs. The sweep is benchstat-ready: per-worker
 # sub-benchmark keys plus $(BENCH_COUNT) repeats per key, so the multi-core
 # rerun is this one command followed by
 # `make benchstat OLD=BENCH_6.json NEW=<new file>`.
@@ -104,9 +105,8 @@ bench-hotpath:
 	$(GO) test -json -run '^$$' -bench 'ContendedFanIn' -benchmem -count=$(BENCH_COUNT) ./internal/exec/ > $(BENCH_HOTPATH_OUT)
 	$(GO) test -json -run '^$$' -bench 'Decode|ExportImport' -benchmem -count=$(BENCH_COUNT) ./internal/pe/ >> $(BENCH_HOTPATH_OUT)
 
-# One-hundred-iteration smoke of the fan-in benches for CI, both sink
-# modes: proves they build and run without panicking, makes no timing
-# claims.
+# One-hundred-iteration smoke of the fan-in benches for CI: proves they
+# build and run without panicking, makes no timing claims.
 bench-hotpath-smoke:
 	$(GO) test -run '^$$' -bench 'ContendedFanIn' -benchtime 100x -benchmem ./internal/exec/
 
@@ -131,12 +131,9 @@ bench-ckpt:
 bench-ckpt-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 1x -benchmem ./internal/exec/
 
-# bench-fused writes the region-compilation comparison to
-# $(BENCH_FUSED_OUT): BenchmarkManualChain scalar vs fused at depth 4 and
-# 16. The acceptance bar for the compiled path is >= 1.5x tuples/s over
-# scalar on the deep chain with 0 allocs/op; check with
-# `make benchstat OLD=... NEW=BENCH_7.json` or compare the fused/scalar
-# rows directly.
+# bench-fused writes the region-compilation results to
+# $(BENCH_FUSED_OUT): BenchmarkManualChain fused/depth=4 and 16, 0 allocs/op;
+# compare against BENCH_7.json's fused rows with `make benchstat`.
 bench-fused:
 	$(GO) test -json -run '^$$' -bench 'ManualChain' -benchmem ./internal/exec/ > $(BENCH_FUSED_OUT)
 
@@ -145,25 +142,21 @@ bench-fused:
 bench-fused-smoke:
 	$(GO) test -run '^$$' -bench 'ManualChain' -benchtime 100x -benchmem ./internal/exec/
 
-# bench-wire writes the wire-format A/B to $(BENCH_WIRE_OUT):
-# BenchmarkExportImportWire wire=batch vs wire=pertuple at 16B/64B/1KiB/
-# 16KiB payloads under identical flush policy ($(BENCH_COUNT) repeats per
-# key at 2s each — the end-to-end loopback needs a couple of seconds of
-# steady state before connection setup, pool warmup, and ring fill stop
-# skewing the sample; compare wire=batch/payload=N against
-# wire=pertuple/payload=N with benchstat), plus the batch encode/decode
-# steady-state microbenchmarks. The acceptance bar: >= 1.5x tuples/s for
-# batch over per-tuple on tuples whose record fits 64B (payload=16).
-# The last line reruns the legacy-keyed transport benches (which now ride
-# the v2 wire by default) so `make benchstat OLD=BENCH_2.json
-# NEW=BENCH_9.json` pairs them against their v1-era numbers.
+# bench-wire writes the wire results to $(BENCH_WIRE_OUT):
+# BenchmarkExportImportWire wire=batch at 16B/64B/1KiB/16KiB payloads
+# ($(BENCH_COUNT) repeats per key at 2s each — the end-to-end loopback needs
+# a couple of seconds of steady state before connection setup, pool warmup,
+# and ring fill stop skewing the sample), plus the batch encode/decode
+# steady-state microbenchmarks. The last line reruns the legacy-keyed
+# transport benches so `make benchstat OLD=BENCH_2.json NEW=BENCH_9.json`
+# pairs them against their v1-era numbers.
 bench-wire:
 	$(GO) test -json -run '^$$' -bench 'ExportImportWire' -benchtime 2s -benchmem -count=$(BENCH_COUNT) ./internal/pe/ > $(BENCH_WIRE_OUT)
 	$(GO) test -json -run '^$$' -bench 'BatchEncodeSteadyState|BatchDecodeSteadyState' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
 	$(GO) test -json -run '^$$' -bench 'ExportImport$$|ExportImportPerTupleFlush$$|BenchmarkEncodeSteadyState$$|BenchmarkDecodeSteadyState$$' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
 
-# One-hundred-iteration smoke of the wire A/B benches for CI: proves both
-# wire modes build and run, makes no timing claims.
+# One-hundred-iteration smoke of the wire benches for CI: proves they build
+# and run, makes no timing claims.
 bench-wire-smoke:
 	$(GO) test -run '^$$' -bench 'ExportImportWire|BatchEncodeSteadyState|BatchDecodeSteadyState' -benchtime 100x -benchmem ./internal/pe/
 
@@ -179,7 +172,7 @@ benchstat:
 fuzz:
 	$(GO) test ./internal/queue/ -run '^$$' -fuzz FuzzMPMCBatchOps -fuzztime 20s
 
-# Short fuzz pass over the transport's coalesced v1 frame streams.
+# Short fuzz pass over the transport's coalesced multi-frame streams.
 fuzz-pe:
 	$(GO) test ./internal/pe/ -run '^$$' -fuzz FuzzBatchedFrames -fuzztime 20s
 
@@ -197,8 +190,9 @@ fuzz-obs:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzPromEscape -fuzztime 20s
 
 # Short fuzz pass over batch-compiled vs interpreted execution equivalence:
-# random operator chains and inputs, byte-identical sink output required in
-# both region shapes.
+# random operator chains, inputs and fault plans; byte-identical sink output
+# and fault logs, equal panic and supervision counts required in both
+# region shapes.
 fuzz-batch:
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzBatchEquivalence -fuzztime 20s
 
@@ -208,8 +202,9 @@ fuzz-ckpt:
 	$(GO) test ./internal/state/ -run '^$$' -fuzz FuzzCheckpointCodec -fuzztime 20s
 
 # Seeded fault-injection suite under the race detector: connection kills,
-# frame corruption, operator panics with quarantine, watchdog freeze — all
-# with exactly-once delivery and full tuple accounting asserted.
+# frame corruption, operator panics with quarantine (fired inside compiled
+# regions), watchdog freeze — all with exactly-once delivery and full tuple
+# accounting asserted.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' -v ./internal/pe/
 

@@ -55,13 +55,9 @@ func main() {
 		streamRing  = flag.Int("streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
 		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
 		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")
-		wireBatch   = flag.Bool("wirebatch", true, "transport: carry whole writer drains as v2 batch frames across PE edges; false sends one v1 frame per tuple (the pre-batch wire, for A/B comparison)")
 		localEdges  = flag.Bool("localedges", false, "transport: route co-located cross-PE edges through the in-process fast path (direct ring handoff, no TCP); wire-level chaos faults do not apply to local edges")
 
-		steal      = flag.Bool("steal", true, "scheduler: work stealing (per-worker deques with emit affinity); false routes everything through the shared queues")
-		localq     = flag.Int("localq", 0, "scheduler: per-worker deque capacity, a power of two (0 = 256 default)")
 		schedStats = flag.Bool("schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks) at exit")
-		fuse       = flag.Bool("fuse", true, "scheduler: compile manual regions into flat programs executed batch-at-a-time; false interprets every delivery tuple-at-a-time")
 		batch      = flag.Int("batch", 1, "source: tuples emitted per generator turn (larger batches feed the compiled-region path whole batches)")
 
 		watchdog    = flag.Bool("watchdog", false, "run a health watchdog per PE that freezes adaptation while the PE is unhealthy (multi-PE runs)")
@@ -80,11 +76,10 @@ func main() {
 	flag.Parse()
 
 	tcfg := pe.TransportConfig{
-		RingCapacity:   *streamRing,
-		FlushBytes:     *flushBytes,
-		MaxFlushDelay:  *flushDelay,
-		DropOnFull:     *streamDrop,
-		PerTupleFrames: !*wireBatch,
+		RingCapacity:  *streamRing,
+		FlushBytes:    *flushBytes,
+		MaxFlushDelay: *flushDelay,
+		DropOnFull:    *streamDrop,
 	}
 	rcfg := resilienceConfig{
 		watchdog:     *watchdog,
@@ -95,12 +90,6 @@ func main() {
 		ckptDir:      *ckptDir,
 		ckptInterval: *ckptEvery,
 	}
-	scfg := schedConfig{
-		steal:  *steal,
-		localQ: *localq,
-		stats:  *schedStats,
-		fuse:   *fuse,
-	}
 	ocfg := obsConfig{
 		metricsAddr: *metricsAddr,
 		flightPath:  *flightPath,
@@ -108,12 +97,10 @@ func main() {
 		sample:      *sample,
 	}
 	var err error
-	if verr := scfg.validate(); verr != nil {
-		err = verr
-	} else if *file != "" {
-		err = runFile(*file, *threads, *duration, *period, *trace, scfg, ocfg)
+	if *file != "" {
+		err = runFile(*file, *threads, *duration, *period, *trace, *schedStats, ocfg)
 	} else {
-		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, *localEdges, rcfg, *streamStats, scfg, ocfg)
+		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, *localEdges, rcfg, *streamStats, *schedStats, ocfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "streamrun:", err)
@@ -123,7 +110,7 @@ func main() {
 
 // runFile parses a topology description (see streamelastic.ParseTopology)
 // and runs it live with multi-level elasticity.
-func runFile(path string, maxThreads int, duration, period time.Duration, dumpTrace bool, scfg schedConfig, ocfg obsConfig) error {
+func runFile(path string, maxThreads int, duration, period time.Duration, dumpTrace, schedStats bool, ocfg obsConfig) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -136,13 +123,10 @@ func runFile(path string, maxThreads int, duration, period time.Duration, dumpTr
 	ecfg := streamelastic.DefaultElasticConfig()
 	ecfg.MaxThreads = maxThreads
 	rt, err := streamelastic.NewRuntime(top, streamelastic.RuntimeOptions{
-		MaxThreads:           maxThreads,
-		AdaptPeriod:          period,
-		Elastic:              ecfg,
-		DisableWorkStealing:  !scfg.steal,
-		LocalQueueCapacity:   scfg.localQ,
-		SampleEvery:          ocfg.sample,
-		DisableRegionCompile: !scfg.fuse,
+		MaxThreads:  maxThreads,
+		AdaptPeriod: period,
+		Elastic:     ecfg,
+		SampleEvery: ocfg.sample,
 	})
 	if err != nil {
 		return err
@@ -173,7 +157,7 @@ func runFile(path string, maxThreads int, duration, period time.Duration, dumpTr
 				e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
 		}
 	}
-	if scfg.stats {
+	if schedStats {
 		printSched("runtime", rt.SchedStats())
 	}
 	return ocfg.writeArtifacts(rt.FlightRecorder(), rt.Trace())
@@ -256,31 +240,6 @@ func (c obsConfig) writeArtifacts(rec *obs.FlightRecorder, trace []core.TraceEve
 	return nil
 }
 
-// schedConfig bundles the work-stealing scheduler flags.
-type schedConfig struct {
-	steal  bool
-	localQ int
-	stats  bool
-	fuse   bool
-}
-
-// validate rejects a deque capacity the engine would refuse, so the error
-// mentions the flag rather than an internal option.
-func (c schedConfig) validate() error {
-	if c.localQ != 0 && (c.localQ < 2 || c.localQ&(c.localQ-1) != 0) {
-		return fmt.Errorf("-localq %d is not a power of two >= 2", c.localQ)
-	}
-	return nil
-}
-
-// execOptions translates the flags into engine scheduler options.
-func (c schedConfig) execOptions(o exec.Options) exec.Options {
-	o.DisableWorkStealing = !c.steal
-	o.LocalQueueCapacity = c.localQ
-	o.DisableRegionCompile = !c.fuse
-	return o
-}
-
 // printSched renders one engine's scheduler counters.
 func printSched(name string, s metrics.SchedSnapshot) {
 	fmt.Printf("%s sched: local=%d pops=%d steals=%d stolen=%d overflow=%d injected=%d parks=%d wakes=%d fusedBatches=%d fusedTuples=%d\n",
@@ -290,7 +249,7 @@ func printSched(name string, s metrics.SchedSnapshot) {
 
 func run(shape string, ops, width, depth, payload int, flops float64, skewed bool, srcBatch int,
 	maxThreads int, duration, period time.Duration, dumpTrace bool, pes int, clusterSpec string, clusterCycle time.Duration,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
 	cfg := workload.DefaultConfig()
 	cfg.PayloadBytes = payload
 	cfg.BalancedFLOPs = flops
@@ -318,20 +277,20 @@ func run(shape string, ops, width, depth, payload int, flops float64, skewed boo
 	}
 
 	if clusterSpec != "" {
-		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, scfg, ocfg)
+		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, ocfg)
 	}
 	if pes > 1 {
-		return runJob(b, maxThreads, duration, period, pes, tcfg, localEdges, rcfg, streamStats, scfg, ocfg)
+		return runJob(b, maxThreads, duration, period, pes, tcfg, localEdges, rcfg, streamStats, schedStats, ocfg)
 	}
 
 	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	eng, err := exec.New(b.Graph, scfg.execOptions(exec.Options{
+	eng, err := exec.New(b.Graph, exec.Options{
 		MaxThreads:  maxThreads,
 		AdaptPeriod: period,
 		SampleEvery: ocfg.sample,
 		Recorder:    rec,
 		PanicBudget: rcfg.panicBudget,
-	}))
+	})
 	if err != nil {
 		return err
 	}
@@ -411,7 +370,7 @@ loop:
 
 	fmt.Printf("\nfinal: %d tuples, %d threads, %d queues, settled=%v\n",
 		b.Sink.Count(), eng.ThreadCount(), eng.Queues(), coord.Settled())
-	if scfg.stats {
+	if schedStats {
 		printSched("engine", eng.SchedStats())
 	}
 	if dumpTrace {
@@ -447,7 +406,7 @@ func (p engineProvider) AdaptationTrace(i int) []core.TraceEvent {
 // is resized live between the spec's maximum and minimum by region
 // migration while the job streams.
 func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThreads int,
-	duration, period time.Duration, tcfg pe.TransportConfig, rcfg resilienceConfig, scfg schedConfig, ocfg obsConfig) error {
+	duration, period time.Duration, tcfg pe.TransportConfig, rcfg resilienceConfig, ocfg obsConfig) error {
 	spec, err := cluster.ParseWidthSpec(specStr)
 	if err != nil {
 		return fmt.Errorf("-cluster: %w", err)
@@ -468,11 +427,11 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 	mgr, err := cluster.New(b.Graph, cluster.Options{
 		Spec: spec,
 		PE: pe.Options{
-			Exec: scfg.execOptions(exec.Options{
+			Exec: exec.Options{
 				MaxThreads:  maxThreads,
 				AdaptPeriod: period,
 				PanicBudget: rcfg.panicBudget,
-			}),
+			},
 			Elastic:        ecfg,
 			Transport:      tcfg,
 			Fault:          inj,
@@ -539,7 +498,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 // runJob executes the workload as a multi-PE job, every PE adapting
 // independently.
 func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, pes int,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
 	assign, err := pe.AssignContiguous(b.Graph, pes)
 	if err != nil {
 		return err
@@ -557,11 +516,11 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		inj.Arm(fault.OpPanic, fault.OpSite(pes-1, 1), fault.Plan{EveryN: 500, MaxFires: 8})
 	}
 	jobOpts := pe.Options{
-		Exec: scfg.execOptions(exec.Options{
+		Exec: exec.Options{
 			MaxThreads:  maxThreads,
 			AdaptPeriod: period,
 			PanicBudget: rcfg.panicBudget,
-		}),
+		},
 		Elastic:        ecfg,
 		Transport:      tcfg,
 		LocalEdges:     localEdges,
@@ -616,7 +575,7 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 				i, cs.Checkpoints, cs.Errors, cs.Skipped, cs.Restores, cs.LastBytes, cs.Watermark, cs.Epoch)
 		}
 	}
-	if scfg.stats {
+	if schedStats {
 		for i, s := range job.SchedStats() {
 			printSched(fmt.Sprintf("PE%d", i), s)
 		}

@@ -10,13 +10,10 @@ import (
 	"streamelastic/internal/pe"
 )
 
-// stealOn is the default scheduler configuration the flag parser produces.
-var stealOn = schedConfig{steal: true, fuse: true}
-
 func TestRunPipelineLive(t *testing.T) {
 	err := run("pipeline", 10, 4, 8, 64, 5000, false, 8, 4,
 		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: true, localQ: 128, stats: true, fuse: true}, obsConfig{})
+		true, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +22,7 @@ func TestRunPipelineLive(t *testing.T) {
 func TestRunSkewedBushy(t *testing.T) {
 	err := run("bushy", 0, 4, 8, 64, 100, true, 1, 2,
 		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: false}, obsConfig{})
+		false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +33,7 @@ func TestRunMultiPE(t *testing.T) {
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
 		pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond}, false,
 		resilienceConfig{watchdog: true, panicBudget: 2}, true,
-		schedConfig{steal: true, stats: true, fuse: true}, obsConfig{})
+		true, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func TestRunMultiPELocalEdges(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
 		pe.TransportConfig{}, true, resilienceConfig{}, true,
-		schedConfig{steal: true}, obsConfig{})
+		false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +52,7 @@ func TestRunMultiPELocalEdges(t *testing.T) {
 func TestRunCluster(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 2000, false, 4, 2,
 		2500*time.Millisecond, 100*time.Millisecond, false, 1, "2:4", time.Second,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{})
+		pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,35 +61,15 @@ func TestRunCluster(t *testing.T) {
 func TestRunClusterBadSpec(t *testing.T) {
 	if err := run("pipeline", 8, 4, 8, 64, 2000, false, 1, 2,
 		time.Second, 100*time.Millisecond, false, 1, "4:2", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{}); err == nil {
+		pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{}); err == nil {
 		t.Fatal("inverted width spec accepted")
 	}
 }
 
 func TestRunUnknownShape(t *testing.T) {
 	if err := run("triangle", 10, 4, 8, 64, 100, false, 1, 4,
-		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{}); err == nil {
+		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{}); err == nil {
 		t.Fatal("unknown shape accepted")
-	}
-}
-
-func TestSchedConfigValidate(t *testing.T) {
-	for _, bad := range []int{1, 3, 100, -4} {
-		if err := (schedConfig{steal: true, localQ: bad}).validate(); err == nil {
-			t.Fatalf("-localq %d accepted", bad)
-		}
-	}
-	for _, good := range []int{0, 2, 256, 1 << 12} {
-		if err := (schedConfig{steal: true, localQ: good}).validate(); err != nil {
-			t.Fatalf("-localq %d rejected: %v", good, err)
-		}
-	}
-	// Validation guards the engine's own check: a capacity that passes here
-	// must be accepted by run too.
-	if err := run("pipeline", 4, 4, 8, 64, 100, false, 1, 2,
-		300*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: true, localQ: 64}, obsConfig{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -106,7 +83,7 @@ func TestRunWithObs(t *testing.T) {
 	}
 	err := run("pipeline", 6, 4, 8, 64, 2000, false, 4, 2,
 		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, ocfg)
+		pe.TransportConfig{}, false, resilienceConfig{}, false, false, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +116,17 @@ func TestRunFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(path, 4, 1200*time.Millisecond, 100*time.Millisecond, true, schedConfig{steal: true, stats: true}, obsConfig{}); err != nil {
+	if err := runFile(path, 4, 1200*time.Millisecond, 100*time.Millisecond, true, true, obsConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(dir+"/missing.txt", 4, time.Second, 100*time.Millisecond, false, stealOn, obsConfig{}); err == nil {
+	if err := runFile(dir+"/missing.txt", 4, time.Second, 100*time.Millisecond, false, false, obsConfig{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := dir + "/bad.txt"
 	if err := os.WriteFile(bad, []byte("gibberish"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(bad, 4, time.Second, 100*time.Millisecond, false, stealOn, obsConfig{}); err == nil {
+	if err := runFile(bad, 4, time.Second, 100*time.Millisecond, false, false, obsConfig{}); err == nil {
 		t.Fatal("bad topology accepted")
 	}
 }

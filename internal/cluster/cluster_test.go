@@ -105,19 +105,19 @@ func chainJob(t testing.TB, maxTuples uint64, rate float64) (*graph.Graph, *recS
 }
 
 // testPEOpts is the deterministic per-PE config: one engine thread, no
-// elasticity or work stealing (invocation order = arrival order), blocking
-// backpressure, a panic budget far above any armed fault plan so injected
-// panics drop exactly the tuple being processed and never quarantine.
+// elasticity (an all-manual placement, so invocation order = arrival order),
+// blocking backpressure, a panic budget far above any armed fault plan so
+// injected panics drop exactly the tuple being processed and never
+// quarantine.
 func testPEOpts(inj *fault.Injector) pe.Options {
 	return pe.Options{
 		DisableElasticity: true,
 		Fault:             inj,
 		Transport:         pe.TransportConfig{BlockTimeout: time.Minute},
 		Exec: exec.Options{
-			MaxThreads:          1,
-			DisableWorkStealing: true,
-			PanicBudget:         1000,
-			PanicDecay:          time.Hour,
+			MaxThreads:  1,
+			PanicBudget: 1000,
+			PanicDecay:  time.Hour,
 		},
 	}
 }

@@ -4,54 +4,16 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"streamelastic/internal/graph"
-	"streamelastic/internal/spl"
 )
-
-// syncSourceStep returns a closure driving one generator batch through an
-// all-manual chain on the calling goroutine. With disable=false the batch
-// is captured and flushed through the compiled region program; with
-// disable=true every Emit delivers tuple-at-a-time through the interpreted
-// recursive path. Same graph shape, same tuple traffic — the difference is
-// purely the execution strategy, which is what BenchmarkManualChain
-// measures.
-func syncSourceStep(tb testing.TB, g *graph.Graph, srcBatch int, disable bool) func() {
-	tb.Helper()
-	e, err := New(g, Options{DisableRegionCompile: disable})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfg := e.cfg.Load()
-	em := e.newEmitter(e.reconfigTS)
-	em.cfg = cfg
-	if !disable {
-		if cfg.progs == nil || cfg.progs[0] == nil {
-			tb.Fatal("no compiled source program for the all-manual chain")
-		}
-		em.srcProg = cfg.progs[0]
-	}
-	gen := g.Node(0).Op.(*spl.Generator)
-	gen.Batch = srcBatch
-	return func() {
-		em.node = 0
-		gen.Next(em)
-		if len(em.srcBuf) > 0 {
-			e.flushSource(em)
-		}
-	}
-}
 
 // benchManualChain measures the manual-region steady state: one source
 // batch of `srcBatch` tuples per iteration through `depth` Work stages and
-// a CountingSink, everything on the driving goroutine (manual threading —
-// no scheduler queues, no workers). tuples/s counts source tuples, so the
-// scalar/fused ratio is the per-tuple interpretation overhead the region
-// compiler removes: graph lookups, per-tuple supervision and profiler
-// checks, and the recursive deliver walk.
-func benchManualChain(b *testing.B, depth, srcBatch int, disable bool) {
+// a CountingSink, captured and flushed through the compiled region program
+// on the driving goroutine (manual threading — no scheduler queues, no
+// workers). tuples/s counts source tuples.
+func benchManualChain(b *testing.B, depth, srcBatch int) {
 	g, sink := buildChainB(b, depth, 0, 0)
-	step := syncSourceStep(b, g, srcBatch, disable)
+	step := syncFusedSourceStep(b, g, srcBatch)
 	for i := 0; i < 64; i++ {
 		step() // warm tuple pool and region scratch buffers
 	}
@@ -70,21 +32,14 @@ func benchManualChain(b *testing.B, depth, srcBatch int, disable bool) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
-// BenchmarkManualChain is the BENCH_7 headline comparison: interpreted
-// tuple-at-a-time execution versus compiled region programs with batch
-// drive, on deep all-manual chains. Compare tuples/s between
-// scalar/depth=N and fused/depth=N; the acceptance bar is fused >= 1.5x
-// scalar on the deep chain with 0 allocs/op.
+// BenchmarkManualChain measures compiled region programs with batch drive on
+// deep all-manual chains, keyed as BENCH_7's fused rows (fused/depth=N); the
+// bar is 0 allocs/op.
 func BenchmarkManualChain(b *testing.B) {
 	const srcBatch = 64
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"scalar", true}, {"fused", false}} {
-		for _, depth := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%s/depth=%d", mode.name, depth), func(b *testing.B) {
-				benchManualChain(b, depth, srcBatch, mode.disable)
-			})
-		}
+	for _, depth := range []int{4, 16} {
+		b.Run(fmt.Sprintf("fused/depth=%d", depth), func(b *testing.B) {
+			benchManualChain(b, depth, srcBatch)
+		})
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -11,28 +12,13 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// countingSink abstracts over the sharded CountingSink and the mutex-
-// serialized LockedCountingSink so the fan-in benchmark can compare the two
-// sink-metering modes on the same topology (the Fig. 10 sharded-vs-locked
-// comparison).
-type countingSink interface {
-	spl.Operator
-	Count() uint64
-}
-
 // fanInGraph builds the contended fan-in topology: `sources` independent
 // chains source -> expand(factor) -> work(flops) whose work stages all feed
-// one shared sink node. lockedSink selects the paper's lock-contention
-// baseline sink instead of the sharded default.
-func fanInGraph(tb testing.TB, sources, factor int, flops float64, lockedSink bool) (*graph.Graph, countingSink) {
+// one shared sink node.
+func fanInGraph(tb testing.TB, sources, factor int, flops float64) (*graph.Graph, *spl.CountingSink) {
 	tb.Helper()
 	g := graph.New()
-	var sink countingSink
-	if lockedSink {
-		sink = spl.NewLockedCountingSink("snk")
-	} else {
-		sink = spl.NewCountingSink("snk")
-	}
+	sink := spl.NewCountingSink("snk")
 	sid := g.AddOperator(sink, nil)
 	for i := 0; i < sources; i++ {
 		gen := spl.NewGenerator(fmt.Sprintf("src%d", i), 64)
@@ -60,11 +46,11 @@ func fanInGraph(tb testing.TB, sources, factor int, flops float64, lockedSink bo
 // scheduled dynamically on `workers` workers. Everything here — graph
 // construction, engine start, placement, thread-count ramp, pool/deque
 // warm-up — is per-benchmark setup that must stay outside the timed region.
-func startFanIn(tb testing.TB, steal, lockedSink bool, workers int) *Engine {
+func startFanIn(tb testing.TB, workers int) *Engine {
 	tb.Helper()
 	const sources, factor, flops = 4, 8, 200
-	g, _ := fanInGraph(tb, sources, factor, flops, lockedSink)
-	e, err := New(g, Options{MaxThreads: 16, DisableWorkStealing: !steal})
+	g, _ := fanInGraph(tb, sources, factor, flops)
+	e, err := New(g, Options{MaxThreads: 16})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,69 +73,34 @@ func startFanIn(tb testing.TB, steal, lockedSink bool, workers int) *Engine {
 	return e
 }
 
-// benchFanIn measures sink throughput on the contended fan-in shape that
-// motivates the work-stealing scheduler: several sources each feed an
-// expansion burst and a work stage, and every work stage fans into one
-// shared sink node. With the shared-MPMC scheduler every burst tuple and
-// every fan-in delivery crosses a contended queue; with stealing the same
-// traffic rides the producing worker's own deque and the shared queues
-// carry only source injections. The timed region contains nothing but the
-// running pipeline: with sharded sink metering and recyclable-operator
-// release the steady state is allocation-free (see
-// TestContendedFanInSteadyStateAllocFree), so allocs/op stays 0.
-func benchFanIn(b *testing.B, steal, lockedSink bool, workers int) {
-	b.Helper()
-	e := startFanIn(b, steal, lockedSink, workers)
-	defer e.Stop()
-	b.ResetTimer()
-	start := e.SinkCount()
-	t0 := time.Now()
-	target := time.Duration(b.N) * 100 * time.Microsecond
-	if target < 100*time.Millisecond {
-		target = 100 * time.Millisecond
-	}
-	time.Sleep(target)
-	elapsed := time.Since(t0).Seconds()
-	b.StopTimer()
-	b.ReportMetric(float64(e.SinkCount()-start)/elapsed, "tuples/s")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	if steal {
-		s := e.SchedStats()
-		b.ReportMetric(float64(s.Steals)/elapsed, "steals/s")
-	}
-}
-
-// BenchmarkContendedFanIn is the BENCH_4/BENCH_6 headline comparison:
-// shared-MPMC scheduling versus work stealing at 2/4/8/16 workers on the
-// same fan-in topology, with the sharded sink by default. Compare tuples/s
-// between shared/workers=N and steal/workers=N, and against
-// BenchmarkContendedFanInLockedSink for the Fig. 10 sink-contention cost.
+// BenchmarkContendedFanIn measures sink throughput on the contended fan-in
+// shape that motivates the work-stealing scheduler at 2/4/8/16 workers:
+// several sources each feed an expansion burst and a work stage, and every
+// work stage fans into one shared sink node. The burst and fan-in traffic
+// rides the producing worker's own deque; the shared queues carry only
+// source injections. Rows keep BENCH_4/BENCH_6's steal/workers=N keys. The
+// timed region contains nothing but the running pipeline: with sharded sink
+// metering and recyclable-operator release the steady state is
+// allocation-free (see TestContendedFanInSteadyStateAllocFree).
 func BenchmarkContendedFanIn(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		steal bool
-	}{{"shared", false}, {"steal", true}} {
-		for _, w := range []int{2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, w), func(b *testing.B) {
-				benchFanIn(b, mode.steal, false, w)
-			})
-		}
-	}
-}
-
-// BenchmarkContendedFanInLockedSink is the same sweep with the paper's
-// lock-contention baseline sink: every worker takes one shared mutex per
-// tuple at the sink, the contention wall Fig. 10 describes.
-func BenchmarkContendedFanInLockedSink(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		steal bool
-	}{{"shared", false}, {"steal", true}} {
-		for _, w := range []int{2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, w), func(b *testing.B) {
-				benchFanIn(b, mode.steal, true, w)
-			})
-		}
+	for _, w := range []int{2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("steal/workers=%d", w), func(b *testing.B) {
+			e := startFanIn(b, w)
+			defer e.Stop()
+			b.ResetTimer()
+			start := e.SinkCount()
+			t0 := time.Now()
+			target := time.Duration(b.N) * 100 * time.Microsecond
+			if target < 100*time.Millisecond {
+				target = 100 * time.Millisecond
+			}
+			time.Sleep(target)
+			elapsed := time.Since(t0).Seconds()
+			b.StopTimer()
+			b.ReportMetric(float64(e.SinkCount()-start)/elapsed, "tuples/s")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			b.ReportMetric(float64(e.SchedStats().Steals)/elapsed, "steals/s")
+		})
 	}
 }
 
@@ -167,25 +118,41 @@ func TestContendedFanInSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	e := startFanIn(t, true, false, 4)
+	e := startFanIn(t, 4)
 	defer e.Stop()
-	// Settle, then measure total process allocations over a window. The
-	// pipeline moves >100k tuples in the window, so even a fraction of an
-	// alloc per tuple (the old leak was ~3 per source tuple) blows the
-	// budget; the budget absorbs incidental runtime/timer allocations.
-	time.Sleep(200 * time.Millisecond)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := e.SinkCount()
-	time.Sleep(300 * time.Millisecond)
-	runtime.ReadMemStats(&after)
-	moved := e.SinkCount() - start
-	allocs := after.Mallocs - before.Mallocs
-	if moved < 10000 {
-		t.Skipf("pipeline too slow to judge: moved %d tuples", moved)
+	// Settle, then count process allocations while the sink takes a fixed
+	// number of tuples, however long that takes on this machine. The old
+	// leak was ~3 allocations per source tuple (3/8 per sink tuple) in every
+	// window. A GC cycle during a window empties the tuple pools and costs a
+	// few thousand refills at once, which is not per tuple, so the best of
+	// three windows is judged.
+	const window, windows = 200_000, 3
+	waitSink := func(n uint64) bool {
+		deadline := time.Now().Add(20 * time.Second)
+		for e.SinkCount() < n {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
 	}
-	if allocs > 2000 {
-		t.Fatalf("steady state allocated %d objects while moving %d tuples; want near zero",
-			allocs, moved)
+	if !waitSink(window / 4) {
+		t.Skip("pipeline too slow to judge")
+	}
+	best := math.Inf(1)
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := e.SinkCount()
+		if !waitSink(start + window) {
+			t.Skip("pipeline too slow to judge")
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.Mallocs-before.Mallocs)/float64(e.SinkCount()-start))
+	}
+	if best > 0.02 {
+		t.Fatalf("steady state allocated %.4f objects per tuple moved in the best of %d windows of %d tuples; want near zero",
+			best, windows, window)
 	}
 }

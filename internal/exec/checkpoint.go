@@ -280,7 +280,7 @@ func (c *Checkpointer) CheckpointNow() bool {
 	// Persist outside the pause: the captured bytes are private copies, so
 	// the engine runs while the store writes.
 	epoch := c.epoch + 1
-	inj := c.e.inj()
+	inj := c.e.opts.Fault
 	site := c.e.opts.ObsPE
 	if inj != nil && inj.Fire(fault.CkptCrash, site) {
 		// Simulate dying mid-append: a torn record, no commit. The dirty
@@ -413,7 +413,7 @@ func (c *Checkpointer) recover(nodes []int) {
 		c.errors.Add(1)
 		recs = nil
 	}
-	inj := c.e.inj()
+	inj := c.e.opts.Fault
 	site := c.e.opts.ObsPE
 	var wm uint64
 	if len(recs) == 0 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"streamelastic/internal/graph"
@@ -105,9 +106,9 @@ func (e *Engine) setWorkersLocked(n int) {
 	for len(e.workers) < n {
 		id := len(e.workers)
 		for len(e.allSlots) <= id {
-			d, err := queue.NewWSDeque[ditem](e.opts.LocalQueueCapacity)
+			d, err := queue.NewWSDeque[ditem](localQueueCapacity)
 			if err != nil {
-				panic(err) // unreachable: capacity validated in New
+				panic(err) // unreachable: the capacity is a power-of-two constant
 			}
 			e.allSlots = append(e.allSlots, &wslot{deq: d})
 		}
@@ -169,9 +170,38 @@ func (e *Engine) Now() time.Duration {
 // since Start.
 func (e *Engine) SinkCount() uint64 { return e.meter.Total() }
 
-// Latency returns the end-to-end (source emit to sink arrival) latency
-// summary. It is all zeros unless Options.TrackLatency was set.
-func (e *Engine) Latency() metrics.LatencySnapshot { return e.latency.Snapshot() }
+// LatencySnapshot summarizes end-to-end (source emit to sink arrival)
+// latency. The quantiles are upper bounds: the top of the log2 bucket that
+// holds them.
+type LatencySnapshot struct {
+	Count uint64
+	Mean  time.Duration
+	P50   time.Duration
+	P95   time.Duration
+	P99   time.Duration
+}
+
+// Latency returns the end-to-end latency summary, read from the engine's
+// latency histogram. It is all zeros unless Options.TrackLatency was set.
+func (e *Engine) Latency() LatencySnapshot {
+	s := e.latency.Snapshot()
+	return LatencySnapshot{
+		Count: s.Count,
+		Mean:  fromSeconds(s.Mean()),
+		P50:   fromSeconds(s.Quantile(0.50)),
+		P95:   fromSeconds(s.Quantile(0.95)),
+		P99:   fromSeconds(s.Quantile(0.99)),
+	}
+}
+
+// fromSeconds converts a histogram value in seconds to a Duration,
+// saturating where the top buckets pass the int64 range.
+func fromSeconds(s float64) time.Duration {
+	if s >= math.MaxInt64/1e9 {
+		return math.MaxInt64
+	}
+	return time.Duration(math.Round(s * 1e9))
+}
 
 // OperatorPanics returns how many operator invocations panicked; each panic
 // is contained to the tuple being processed.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,8 +12,7 @@ import (
 )
 
 // measureLive runs the engine under a fixed configuration for window and
-// returns the sink throughput. opts lets callers toggle execution-strategy
-// knobs (e.g. DisableRegionCompile); MaxThreads defaults to 8.
+// returns the sink throughput. MaxThreads in opts defaults to 8.
 func measureLive(t *testing.T, g *graph.Graph, place []bool, threads int, window time.Duration, opts Options) float64 {
 	t.Helper()
 	if opts.MaxThreads == 0 {
@@ -41,9 +41,15 @@ func measureLive(t *testing.T, g *graph.Graph, place []bool, threads int, window
 }
 
 // TestSimPredictsLiveOrdering cross-validates the simulated machine against
-// the live engine on this host: on a single-CPU machine the dynamic model's
-// queue overheads cannot be repaid by parallelism, so manual threading must
-// win — and a 1-core simulated machine must predict the same ordering.
+// the live engine: a simulated machine with as many cores as GOMAXPROCS must
+// predict which of manual threading and a 2-thread dynamic placement is
+// faster live, and predictions within 1.5x of each other are too close to
+// order on a shared host, so the test skips. The test pins GOMAXPROCS to 1
+// while it runs. On one CPU the dynamic model's queue overheads cannot be
+// repaid by parallelism, so manual must win on any host. With more cores the
+// ordering turns on the host's own copy and cache costs, which the model —
+// calibrated to the paper's Xeon — does not know: on a 2-core VM it predicts
+// manual 1.6x faster where dynamic measures 1.5x faster.
 func TestSimPredictsLiveOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation timing test skipped in -short mode")
@@ -76,8 +82,9 @@ func TestSimPredictsLiveOrdering(t *testing.T) {
 		allDyn[i] = true
 	}
 
-	// Simulated prediction on a 1-core machine.
-	se, err := sim.New(g, sim.Xeon176().WithCores(1), sim.WithPayload(1024))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cores := runtime.GOMAXPROCS(0)
+	se, err := sim.New(g, sim.Xeon176().WithCores(cores), sim.WithPayload(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,60 +96,29 @@ func TestSimPredictsLiveOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	simDynamic := se.Throughput()
-	if simManual <= simDynamic {
+	if cores == 1 && simManual <= simDynamic {
 		t.Fatalf("1-core sim predicts dynamic (%v) >= manual (%v); queue overheads missing from the model",
 			simDynamic, simManual)
 	}
+	if r := simManual / simDynamic; r < 1.5 && r > 1/1.5 {
+		t.Skipf("%d-core sim predicts manual %.0f vs dynamic %.0f tuples/s: within 1.5x, no ordering to check",
+			cores, simManual, simDynamic)
+	}
 
-	// Live measurement.
-	liveManual := measureLive(t, g, nil, 1, 400*time.Millisecond, Options{})
-	liveDynamic := measureLive(t, g, allDyn, 2, 400*time.Millisecond, Options{})
+	// Best of two alternating rounds, so a load burst on a shared host hits
+	// one sample of a side rather than deciding the ordering.
+	var liveManual, liveDynamic float64
+	for round := 0; round < 2; round++ {
+		liveManual = max(liveManual, measureLive(t, g, nil, 1, 400*time.Millisecond, Options{}))
+		liveDynamic = max(liveDynamic, measureLive(t, g, allDyn, 2, 400*time.Millisecond, Options{}))
+	}
 	if liveManual == 0 || liveDynamic == 0 {
 		t.Skip("host too loaded to measure throughput")
 	}
-	if liveManual < liveDynamic {
-		t.Fatalf("live ordering contradicts the model on 1 CPU: manual %v < dynamic %v",
-			liveManual, liveDynamic)
+	t.Logf("%d core(s): live manual %.0f vs dynamic %.0f, sim manual %.0f vs dynamic %.0f tuples/s",
+		cores, liveManual, liveDynamic, simManual, simDynamic)
+	if (liveManual > liveDynamic) != (simManual > simDynamic) {
+		t.Fatalf("live ordering contradicts the %d-core model: live manual %.0f vs dynamic %.0f, sim manual %.0f vs dynamic %.0f",
+			cores, liveManual, liveDynamic, simManual, simDynamic)
 	}
-}
-
-// TestLiveFusedNotSlowerThanScalar cross-validates the region compiler's
-// whole-system effect: the same all-manual chain, measured live with
-// compilation on and off, must show the compiled path at least matching the
-// interpreted one. The bar is deliberately loose (0.9x, with a noise skip)
-// because this is a wall-clock test on a shared host — BenchmarkManualChain
-// is where the real speedup is quantified.
-func TestLiveFusedNotSlowerThanScalar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-validation timing test skipped in -short mode")
-	}
-	g := graph.New()
-	gen := spl.NewGenerator("src", 256)
-	prev := g.AddSource(gen, spl.NewCostVar(0))
-	for i := 0; i < 8; i++ {
-		cv := spl.NewCostVar(100)
-		id := g.AddOperator(spl.NewWork("w", cv), cv)
-		if err := g.Connect(prev, 0, id, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		prev = id
-	}
-	snk := g.AddOperator(spl.NewCountingSink("snk"), nil)
-	if err := g.Connect(prev, 0, snk, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	gen.Batch = 64
-
-	scalar := measureLive(t, g, nil, 1, 400*time.Millisecond, Options{DisableRegionCompile: true})
-	fused := measureLive(t, g, nil, 1, 400*time.Millisecond, Options{})
-	if scalar == 0 || fused == 0 {
-		t.Skip("host too loaded to measure throughput")
-	}
-	if fused < 0.9*scalar {
-		t.Fatalf("compiled path slower than interpreted live: fused %v < 0.9 * scalar %v", fused, scalar)
-	}
-	t.Logf("live tuples/s: fused %.0f, scalar %.0f (%.2fx)", fused, scalar, fused/scalar)
 }

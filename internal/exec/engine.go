@@ -15,13 +15,12 @@
 // on sharded condition variables consulted by producers instead of
 // sleep-polling.
 //
-// Scheduling is work stealing (unless Options.DisableWorkStealing): each
-// worker owns a bounded deque, a worker emitting to a dynamic operator
-// pushes onto its own deque (emit affinity — no shared-queue CAS, the tuple
-// stays cache-hot), and a worker looks for work local-first, then steals
-// half a random victim's deque, then falls back to the shared MPMC queues,
-// which remain the injection path for sources, imports, reconfiguration
-// drains, and deque overflow.
+// Scheduling is work stealing: each worker owns a bounded deque, a worker
+// emitting to a dynamic operator pushes onto its own deque (emit affinity —
+// no shared-queue CAS, the tuple stays cache-hot), and a worker looks for
+// work local-first, then steals half a random victim's deque, then falls
+// back to the shared MPMC queues, which remain the injection path for
+// sources, imports, reconfiguration drains, and deque overflow.
 package exec
 
 import (
@@ -63,6 +62,11 @@ const idleSpinLimit = 16
 // the SchedStats counters stay exact regardless.
 const recSampleEvery = 64
 
+// localQueueCapacity is the per-worker deque capacity. A full deque
+// overflows to the shared queue, so the capacity only shifts traffic, never
+// drops it.
+const localQueueCapacity = 256
+
 // parkShards is how many park/wake shards the idle machinery spreads
 // workers across (a power of two). A producer with a wake to hand out scans
 // shards starting at its own, so it wakes a nearby worker and never
@@ -95,9 +99,10 @@ type engineConfig struct {
 	queueList []graph.NodeID      // nodes that have queues, in id order
 	// progs holds the compiled manual-region programs for this placement,
 	// indexed by region-head node id (see region.go); nil entries fall back
-	// to the interpreted path, and the whole slice is nil when compilation
-	// is disabled. Rebuilt with every config, so a placement move can never
-	// execute a stale program.
+	// to the interpreted path, and the whole slice is nil when nothing
+	// compiled (tests also nil it to run the interpreted oracle). Rebuilt
+	// with every config, so a placement move can never execute a stale
+	// program.
 	progs []*regionProgram
 }
 
@@ -107,15 +112,6 @@ type Options struct {
 	MaxThreads int
 	// QueueCapacity is the per-queue capacity, a power of two (default 1024).
 	QueueCapacity int
-	// DisableWorkStealing turns off per-worker deques and emit affinity,
-	// routing every dynamic delivery through the shared MPMC queues. The
-	// zero value (stealing on) is the production configuration; the flag
-	// exists for A/B benchmarks and diagnosis.
-	DisableWorkStealing bool
-	// LocalQueueCapacity is the per-worker deque capacity, a power of two
-	// (default 256). A full deque overflows to the shared queue, so a small
-	// capacity only shifts traffic, never drops it.
-	LocalQueueCapacity int
 	// AdaptPeriod is how long Observe measures (default 100ms; the paper
 	// uses 5s, which is far longer than needed for synthetic workloads).
 	AdaptPeriod time.Duration
@@ -126,7 +122,8 @@ type Options struct {
 	// Leave it off when operators use Time as an application event time.
 	TrackLatency bool
 	// Fault is an optional fault injector consulted on the operator hot
-	// path; nil (the default) costs one pointer check per dispatch.
+	// path; nil (the default) costs one pointer check per dispatch, or per
+	// stage and batch on a compiled region.
 	Fault *fault.Injector
 	// FaultSiteBase offsets this engine's node ids into the injector's site
 	// namespace (fault.OpSite of the owning PE), so one injector can target
@@ -138,18 +135,13 @@ type Options struct {
 	// timeout, then probed back in. Clean running decays the history.
 	PanicBudget int
 	// QuarantineBase/QuarantineMax bound the quarantine timeout's
-	// exponential growth (defaults 100ms / 5s).
+	// exponential growth (defaults 100ms / 5s; a max below the base is
+	// raised to the base).
 	QuarantineBase time.Duration
 	QuarantineMax  time.Duration
 	// PanicDecay is the clean-run interval that forgives one strike or
 	// backoff round (default 1s).
 	PanicDecay time.Duration
-	// DisableRegionCompile turns off compiled manual regions and batched
-	// operator execution, interpreting every delivery tuple-at-a-time. The
-	// zero value (compilation on) is the production configuration; the flag
-	// exists for A/B benchmarks and the batch-equivalence fuzzer. Engines
-	// with a fault injector skip compilation regardless (see region.go).
-	DisableRegionCompile bool
 	// SampleEvery enables per-operator latency and queue-wait sampling:
 	// every Nth queued delivery per emitting loop is timestamped at enqueue
 	// and timed through its operator into the op_exec_seconds and
@@ -173,9 +165,6 @@ func (o *Options) setDefaults() {
 	if o.QueueCapacity == 0 {
 		o.QueueCapacity = 1024
 	}
-	if o.LocalQueueCapacity == 0 {
-		o.LocalQueueCapacity = 256
-	}
 	if o.AdaptPeriod == 0 {
 		o.AdaptPeriod = 100 * time.Millisecond
 	}
@@ -185,7 +174,7 @@ func (o *Options) setDefaults() {
 	if o.QuarantineBase <= 0 {
 		o.QuarantineBase = 100 * time.Millisecond
 	}
-	if o.QuarantineMax < o.QuarantineBase {
+	if o.QuarantineMax <= 0 {
 		o.QuarantineMax = 5 * time.Second
 	}
 	if o.QuarantineMax < o.QuarantineBase {
@@ -212,16 +201,16 @@ type Engine struct {
 	meter      *metrics.Meter
 	profiler   *metrics.Profiler
 	reconfigTS *metrics.ThreadState
-	latency    metrics.Histogram
+	latency    *obs.Histogram
 	isSource   []bool
 	opPanics   atomic.Uint64
 	sup        *supervision // nil unless Options.PanicBudget > 0
 
 	// Observability: the engine's registry (Options.Obs or a private one),
-	// the flight recorder (possibly nil), and the sampling histograms — one
-	// execution histogram per non-source node plus one engine-wide
-	// queue-wait histogram, all registered up front so series presence does
-	// not depend on the sampling rate.
+	// the flight recorder (possibly nil), the sink latency histogram, and the
+	// sampling histograms — one execution histogram per non-source node plus
+	// one engine-wide queue-wait histogram, all registered up front so series
+	// presence does not depend on the sampling rate.
 	reg       *obs.Registry
 	rec       *obs.FlightRecorder
 	recPE     int32
@@ -250,7 +239,6 @@ type Engine struct {
 	// idle rescans. srcStats has one counter group per source loop and
 	// extStats covers everything else that emits (reconfiguration drains,
 	// tests); per-party groups keep hot-path increments contention-free.
-	stealing bool
 	allSlots []*wslot // guarded by reconfigMu
 	slots    atomic.Pointer[[]*wslot]
 	srcStats []metrics.SchedCounters
@@ -311,9 +299,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	if opts.QueueCapacity < 2 || opts.QueueCapacity&(opts.QueueCapacity-1) != 0 {
 		return nil, fmt.Errorf("exec: queue capacity %d is not a power of two", opts.QueueCapacity)
 	}
-	if opts.LocalQueueCapacity < 2 || opts.LocalQueueCapacity&(opts.LocalQueueCapacity-1) != 0 {
-		return nil, fmt.Errorf("exec: local queue capacity %d is not a power of two", opts.LocalQueueCapacity)
-	}
 	n := g.NumNodes()
 	e := &Engine{
 		g:         g,
@@ -325,7 +310,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		statefulM: make([]*sync.Mutex, n),
 		meter:     metrics.NewMeter(time.Now()),
 		profiler:  metrics.NewProfiler(n),
-		stealing:  !opts.DisableWorkStealing,
 		srcStats:  make([]metrics.SchedCounters, len(g.Sources())),
 	}
 	e.cond = sync.NewCond(&e.mu)
@@ -704,9 +688,7 @@ func (e *Engine) workerLoop(w *worker) {
 	em.stats = &w.slot.stats
 	em.origin = w.id
 	em.sinkMeter = e.meter.Shard(w.id)
-	if e.stealing {
-		em.local = w.slot.deq
-	}
+	em.local = w.slot.deq
 	batch := make([]item, workerBatch)
 	dbatch := make([]ditem, workerBatch)
 	rot := w.id
@@ -726,21 +708,18 @@ func (e *Engine) workerLoop(w *worker) {
 		cfg := e.cfg.Load()
 		em.cfg = cfg
 		worked := false
-		if e.stealing {
-			if k := w.slot.deq.PopBottomN(dbatch); k > 0 {
-				w.slot.stats.LocalPops.Add(uint64(k))
-				e.executeDBatch(em, batch, dbatch[:k])
-				worked = true
-			} else if k := e.trySteal(w, dbatch); k > 0 {
-				if s := w.slot.stats.Steals.Add(1); s&(recSampleEvery-1) == 1 {
-					e.rec.Record(obs.EvSteal, e.recPE, int64(k), int64(w.id), "")
-				}
-				w.slot.stats.StolenTuples.Add(uint64(k))
-				e.executeDBatch(em, batch, dbatch[:k])
-				worked = true
+		if k := w.slot.deq.PopBottomN(dbatch); k > 0 {
+			w.slot.stats.LocalPops.Add(uint64(k))
+			e.executeDBatch(em, batch, dbatch[:k])
+			worked = true
+		} else if k := e.trySteal(w, dbatch); k > 0 {
+			if s := w.slot.stats.Steals.Add(1); s&(recSampleEvery-1) == 1 {
+				e.rec.Record(obs.EvSteal, e.recPE, int64(k), int64(w.id), "")
 			}
-		}
-		if !worked {
+			w.slot.stats.StolenTuples.Add(uint64(k))
+			e.executeDBatch(em, batch, dbatch[:k])
+			worked = true
+		} else {
 			n := len(cfg.queueList)
 			for i := 0; i < n; i++ {
 				nid := cfg.queueList[(rot+i)%n]
@@ -793,9 +772,6 @@ func (e *Engine) trySteal(w *worker, out []ditem) int {
 // in the shared queues (or inline) rather than back in the deque being
 // drained.
 func (e *Engine) flushLocal(em *emitter, slot *wslot) {
-	if em.local == nil {
-		return
-	}
 	em.local = nil
 	em.cfg = e.cfg.Load()
 	for {
@@ -860,53 +836,37 @@ func (e *Engine) executeBatch(em *emitter, node graph.NodeID, items []item) {
 			return
 		}
 	}
-	if e.sup != nil && e.sup.quarantined(int(node), time.Now().UnixNano()) {
-		e.sup.drops.Add(uint64(len(items)))
-		for i := range items {
-			items[i].t.Release()
-		}
-		return
-	}
 	nd := e.g.Node(node)
+	sink, recycle := e.isSink[node], e.recycle[node]
 	ts := em.ts
 	ts.Enter(int(node))
-	if sink := e.isSink[node]; sink {
-		for i := range items {
-			var ok bool
-			if items[i].enq != 0 {
-				ok = e.processSampled(em, nd, node, items[i].port, items[i].t, items[i].enq)
-			} else {
-				ok = e.process(em, nd, node, items[i].port, items[i].t)
-			}
-			e.finishSink(node, items[i].t, ok)
-		}
-		ts.Leave()
-		em.sinkMeter.Add(uint64(len(items)))
-		return
-	}
-	if e.recycle[node] {
-		for i := range items {
-			var ok bool
-			if items[i].enq != 0 {
-				ok = e.processSampled(em, nd, node, items[i].port, items[i].t, items[i].enq)
-			} else {
-				ok = e.process(em, nd, node, items[i].port, items[i].t)
-			}
-			if ok {
-				items[i].t.Release()
-			}
-		}
-		ts.Leave()
-		return
-	}
+	metered := 0
 	for i := range items {
-		if items[i].enq != 0 {
-			e.processSampled(em, nd, node, items[i].port, items[i].t, items[i].enq)
+		it := &items[i]
+		// Quarantine is checked per tuple, as execute does, so a quarantine
+		// engaged mid-batch stops the operator at once.
+		if e.sup != nil && e.sup.quarantined(int(node), time.Now().UnixNano()) {
+			e.sup.drops.Add(1)
+			it.t.Release()
+			continue
+		}
+		var ok bool
+		if it.enq != 0 {
+			ok = e.processSampled(em, nd, node, it.port, it.t, it.enq)
 		} else {
-			e.process(em, nd, node, items[i].port, items[i].t)
+			ok = e.process(em, nd, node, it.port, it.t)
+		}
+		if sink {
+			metered++
+			e.finishSink(node, it.t, ok)
+		} else if ok && recycle {
+			it.t.Release()
 		}
 	}
 	ts.Leave()
+	if metered > 0 {
+		em.sinkMeter.Add(uint64(metered))
+	}
 }
 
 // finishSink records sink-side latency and recycles the tuple when the sink
@@ -915,7 +875,7 @@ func (e *Engine) executeBatch(em *emitter, node graph.NodeID, items []item) {
 // the garbage collector.
 func (e *Engine) finishSink(node graph.NodeID, t *spl.Tuple, ok bool) {
 	if e.opts.TrackLatency && t.Time > 0 {
-		e.latency.Record(time.Duration(time.Now().UnixNano() - t.Time))
+		e.latency.Observe(time.Duration(time.Now().UnixNano() - t.Time))
 	}
 	if ok && e.recycle[node] {
 		t.Release()
@@ -942,12 +902,12 @@ func (e *Engine) process(em *emitter, nd *graph.Node, node graph.NodeID, port in
 	}()
 	// Chaos hooks fire inside the recover scope, so an injected panic takes
 	// the exact path a real operator panic takes.
-	if e.inj() != nil {
+	if inj := e.opts.Fault; inj != nil {
 		site := e.opts.FaultSiteBase + int(node)
-		if d := e.opts.Fault.FireDelay(fault.OpSlow, site); d > 0 {
+		if d := inj.FireDelay(fault.OpSlow, site); d > 0 {
 			time.Sleep(d)
 		}
-		if e.opts.Fault.Fire(fault.OpPanic, site) {
+		if inj.Fire(fault.OpPanic, site) {
 			panic(fmt.Sprintf("exec: injected panic in operator %q", nd.Op.Name()))
 		}
 	}
@@ -960,16 +920,13 @@ func (e *Engine) process(em *emitter, nd *graph.Node, node graph.NodeID, port in
 	return true
 }
 
-// inj returns the configured fault injector (nil for production engines).
-func (e *Engine) inj() *fault.Injector { return e.opts.Fault }
-
 // emitter routes an operator's output tuples: deque-pushed (emit affinity)
 // or queued for dynamic consumers — both with a pooled tuple copy — and
 // inline execution for manual ones. One emitter is allocated per dispatch
 // loop and reused for every dispatch; its cfg is refreshed at each loop
 // iteration and its node tracks the operator currently executing on the
 // loop's goroutine. local is the owning worker's deque (nil off the worker
-// pool or when stealing is disabled), stats the loop's private counter
+// pool), stats the loop's private counter
 // group, and origin the wake shard producers near this loop should prefer.
 type emitter struct {
 	e      *Engine

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,43 @@ func TestLatencyDisabledByDefault(t *testing.T) {
 	waitCount(t, sink, n, 10*time.Second)
 	if got := e.Latency().Count; got != 0 {
 		t.Fatalf("latency recorded %d samples with tracking disabled", got)
+	}
+}
+
+// TestLatencySnapshotOrdering checks the summary Latency reads off the
+// engine's log2 latency histogram: quantiles ordered and within one bucket
+// of the truth, the mean exact, and values from the top buckets — past the
+// int64 nanosecond range — saturating instead of wrapping negative.
+func TestLatencySnapshotOrdering(t *testing.T) {
+	g, _ := buildChain(t, 1, 1, 0)
+	e, err := New(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 1000; i++ {
+		e.latency.Observe(time.Duration(i) * time.Microsecond)
+	}
+	s := e.Latency()
+	if s.Count != 1000 {
+		t.Fatalf("count = %d, want 1000", s.Count)
+	}
+	if !(s.P50 <= s.P95 && s.P95 <= s.P99) {
+		t.Fatalf("quantiles not ordered: %+v", s)
+	}
+	if s.P50 < 500*time.Microsecond || s.P50 > time.Millisecond {
+		t.Fatalf("p50 = %v, want the top of 500µs's log2 bucket", s.P50)
+	}
+	if s.Mean != 500500*time.Nanosecond {
+		t.Fatalf("mean = %v, want 500.5µs", s.Mean)
+	}
+
+	huge, err := New(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge.latency.Observe(math.MaxInt64)
+	if s := huge.Latency(); s.P99 != math.MaxInt64 || s.Mean != math.MaxInt64 {
+		t.Fatalf("top-bucket snapshot = %+v, want p99 and mean saturated at MaxInt64", s)
 	}
 }
 

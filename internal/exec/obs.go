@@ -76,15 +76,7 @@ func (e *Engine) registerMetrics() {
 	r.GaugeFunc(obs.MetricSupActive, "Operators currently quarantined.",
 		func() float64 { return float64(e.Supervision().Active) })
 
-	r.HistogramFunc(obs.MetricLatency, "End-to-end source-to-sink latency (requires TrackLatency).",
-		func() obs.HistSnapshot {
-			return obs.HistSnapshot{
-				Buckets: e.latency.Buckets(),
-				Count:   e.latency.Count(),
-				Sum:     float64(e.latency.Sum()) * 1e-9,
-				Scale:   1e-9,
-			}
-		})
+	e.latency = r.Histogram(obs.MetricLatency, "End-to-end source-to-sink latency (requires TrackLatency).")
 
 	// Per-operator execution latency: one native histogram per non-source
 	// node, fed by the sampling gate. Registered regardless of SampleEvery so

@@ -25,16 +25,22 @@
 // every coordinator placement move recompiles the region set, so threading-
 // model elasticity is preserved and a stale program can never execute. The
 // per-stage profiler Enter keeps the sampling profiler's cost attribution
-// placement-independent, amortized over the batch. Engines with a fault
-// injector configured skip compilation entirely: chaos semantics (per-tuple
-// injection inside the recover scope) are bit-exact on the interpreted path
-// only.
+// placement-independent, amortized over the batch.
+//
+// Fault injection runs on the compiled path too, so chaos tests exercise the
+// code production runs. With an injector installed, every non-exit step
+// first walks its batch in order and fires, per tuple, exactly what process
+// fires on the interpreted path — a quarantine check, then OpSlow, then
+// OpPanic — so both paths evaluate the same (point, site, n) events and lose
+// the same tuples. The survivors then run as one batch after one sleep of
+// the summed delay. Exit steps go through process, so no event fires twice.
 package exec
 
 import (
 	"sync"
 	"time"
 
+	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
 	"streamelastic/internal/spl"
 )
@@ -78,14 +84,8 @@ type regionProgram struct {
 	steps   []regionStep
 }
 
-// compilePrograms builds the compiled-region set for cfg. Compilation is
-// skipped entirely when disabled or when a fault injector is configured
-// (injected panics and delays fire per tuple inside process's recover
-// scope; the interpreted path keeps those semantics bit-exact).
+// compilePrograms builds the compiled-region set for cfg.
 func (e *Engine) compilePrograms(cfg *engineConfig) {
-	if e.opts.DisableRegionCompile || e.opts.Fault != nil {
-		return
-	}
 	progs := make([]*regionProgram, e.g.NumNodes())
 	any := false
 	for _, nid := range cfg.queueList {
@@ -271,6 +271,11 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 			}
 			return
 		}
+		if e.opts.Fault != nil {
+			if cur = e.fireStepFaults(em, st, cur); len(cur) == 0 {
+				return
+			}
+		}
 		ts.Enter(int(st.node))
 		if st.sink {
 			e.runSinkStep(em, st, port, cur)
@@ -305,6 +310,44 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 		coll.out = nil
 		flip ^= 1
 	}
+}
+
+// fireStepFaults fires the chaos hooks process fires per tuple for a batch
+// entering a compiled step, in batch order: a quarantined operator drops the
+// tuple, then OpSlow and OpPanic fire at the operator's site. A fired panic
+// loses its tuple exactly as a contained panic in process does — counted,
+// charged to supervision, left to the garbage collector, and still metered
+// at a sink — so a panic that engages quarantine drops the rest of the batch
+// through the next tuples' checks. The survivors are compacted to the front
+// of in and returned after one sleep of the summed delay.
+func (e *Engine) fireStepFaults(em *emitter, st *regionStep, in []*spl.Tuple) []*spl.Tuple {
+	inj, site := e.opts.Fault, e.opts.FaultSiteBase+int(st.node)
+	var delay time.Duration
+	out := in[:0]
+	for _, t := range in {
+		if e.sup != nil && e.sup.quarantined(int(st.node), time.Now().UnixNano()) {
+			e.sup.drops.Add(1)
+			t.Release()
+			continue
+		}
+		delay += inj.FireDelay(fault.OpSlow, site)
+		if inj.Fire(fault.OpPanic, site) {
+			e.opPanics.Add(1)
+			if e.sup != nil {
+				e.sup.notePanic(int(st.node), time.Now())
+			}
+			if st.sink {
+				em.sinkMeter.Add(1)
+				e.finishSink(st.node, t, false)
+			}
+			continue
+		}
+		out = append(out, t)
+	}
+	if delay > 0 {
+		time.Sleep(delay)
+	}
+	return out
 }
 
 // runSinkStep runs a terminal step on a batch: one meter add for the whole

@@ -13,9 +13,18 @@ import (
 // compilation produced nothing).
 func progsOf(e *Engine) []*regionProgram { return e.cfg.Load().progs }
 
+// interpret drops the current config's compiled programs, so the engine runs
+// every delivery through the interpreted tuple-at-a-time path — the oracle
+// the compiled path is checked against. Call it after the last placement
+// change: ApplyPlacement recompiles.
+func interpret(e *Engine) {
+	cfg := *e.cfg.Load()
+	cfg.progs = nil
+	e.cfg.Store(&cfg)
+}
+
 // TestRegionCompilationShapes pins the compiler's structural rules: which
-// heads get programs, where chains stop, and which options suppress
-// compilation entirely.
+// heads get programs and where chains stop.
 func TestRegionCompilationShapes(t *testing.T) {
 	g, _ := buildChain(t, 3, 0, 0) // src -> w -> w -> w -> sink
 
@@ -103,24 +112,14 @@ func TestRegionCompilationShapes(t *testing.T) {
 		}
 	})
 
-	t.Run("DisableRegionCompile compiles nothing", func(t *testing.T) {
-		e, err := New(g, Options{DisableRegionCompile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if progsOf(e) != nil {
-			t.Fatal("programs compiled with DisableRegionCompile set")
-		}
-	})
-
-	t.Run("fault injector suppresses compilation", func(t *testing.T) {
+	t.Run("fault injector keeps compilation", func(t *testing.T) {
 		inj := fault.New(1)
 		e, err := New(g, Options{Fault: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if progsOf(e) != nil {
-			t.Fatal("programs compiled with a fault injector configured; chaos semantics require the interpreted path")
+		if progs := progsOf(e); progs == nil || progs[0] == nil || len(progs[0].steps) != 4 {
+			t.Fatal("no full source program with a fault injector installed; chaos must run the compiled path")
 		}
 	})
 }
@@ -299,11 +298,11 @@ func TestFusedSourceSteadyStateAllocFree(t *testing.T) {
 func TestFusedQueueHeadMatchesScalarCounts(t *testing.T) {
 	counts := make(map[string]uint64)
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name   string
+		scalar bool
 	}{{"fused", false}, {"scalar", true}} {
 		g, sink := expandChain(t, 500, 4, 0)
-		e, err := New(g, Options{DisableRegionCompile: mode.disable})
+		e, err := New(g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,13 +311,13 @@ func TestFusedQueueHeadMatchesScalarCounts(t *testing.T) {
 		if err := e.ApplyPlacement(place); err != nil {
 			t.Fatal(err)
 		}
+		if progs := progsOf(e); progs == nil || progs[1] == nil {
+			t.Fatal("no program at the expand queue")
+		}
+		if mode.scalar {
+			interpret(e)
+		}
 		cfg := e.cfg.Load()
-		if mode.disable && cfg.progs != nil {
-			t.Fatal("scalar engine has compiled programs")
-		}
-		if !mode.disable && (cfg.progs == nil || cfg.progs[1] == nil) {
-			t.Fatal("fused engine has no program at the expand queue")
-		}
 		em := e.newEmitter(e.reconfigTS)
 		em.cfg = cfg
 		gen := g.Node(0).Op.(spl.Source)
@@ -338,10 +337,8 @@ func TestFusedQueueHeadMatchesScalarCounts(t *testing.T) {
 			}
 		}
 		counts[mode.name] = sink.Count()
-		if !mode.disable {
-			if s := e.SchedStats(); s.FusedTuples == 0 {
-				t.Fatal("fused run never took the compiled path")
-			}
+		if fused := e.SchedStats().FusedTuples; (fused == 0) != mode.scalar {
+			t.Fatalf("%s run moved %d tuples through compiled programs", mode.name, fused)
 		}
 	}
 	if counts["fused"] != counts["scalar"] || counts["fused"] != 500*4 {

@@ -119,3 +119,23 @@ func TestSupervisionActiveCount(t *testing.T) {
 		t.Fatalf("active = %d after expiry, want 0", got)
 	}
 }
+
+// TestSetDefaultsClampsQuarantineMax pins how the quarantine cap defaults:
+// unset takes the 5s default, a cap below the base is raised to the base
+// rather than replaced by the default, and a cap above the base stays.
+func TestSetDefaultsClampsQuarantineMax(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		max, want time.Duration
+	}{
+		{"zero takes the default", 0, 5 * time.Second},
+		{"below the base clamps to it", 50 * time.Millisecond, 100 * time.Millisecond},
+		{"above the base stays", 2 * time.Second, 2 * time.Second},
+	} {
+		o := Options{QuarantineMax: tc.max}
+		o.setDefaults()
+		if o.QuarantineMax != tc.want {
+			t.Errorf("%s: QuarantineMax %v became %v, want %v", tc.name, tc.max, o.QuarantineMax, tc.want)
+		}
+	}
+}

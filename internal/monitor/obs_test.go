@@ -38,7 +38,7 @@ func registryForStatus() *obs.Registry {
 	r.CounterFunc(obs.MetricTransportFlushes, "flushes", func() uint64 { return 9 }, exp...)
 	r.CounterFunc(obs.MetricTransportRetransmits, "retrans", func() uint64 { return 3 }, exp...)
 	r.GaugeFunc(obs.MetricTransportUnacked, "unacked", func() float64 { return 4 }, exp...)
-	r.HistogramFunc(obs.MetricTransportDrainSize, "drains", func() obs.HistSnapshot {
+	r.SetHistogramFunc(obs.MetricTransportDrainSize, "drains", func() obs.HistSnapshot {
 		return obs.HistSnapshot{Buckets: []uint64{1, 0, 4, 0, 0}, Count: 5, Sum: 13, Scale: 1}
 	}, exp...)
 	imp := []obs.Label{

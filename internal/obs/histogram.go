@@ -73,8 +73,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 
 // HistSnapshot is a point-in-time view of any log2-bucketed histogram —
 // the registry's own histograms and external ones bridged through
-// HistogramFunc (the engine latency histogram, the transport batch-size
-// buckets).
+// SetHistogramFunc (the transport batch-size buckets).
 type HistSnapshot struct {
 	// Buckets[i] counts observations whose raw value fell in [2^i, 2^(i+1)).
 	Buckets []uint64

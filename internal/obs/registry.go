@@ -300,22 +300,10 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return s.hist
 }
 
-// HistogramFunc registers a histogram whose snapshot is read from fn at
+// SetHistogramFunc registers a histogram whose snapshot is read from fn at
 // scrape time — the bridge for histograms that live outside the registry
-// (the engine's latency histogram, the transport's batch-size buckets).
-func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot, labels ...Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, KindHistogram)
-	s := &series{labels: r.mergeLabels(labels), histFn: fn}
-	s.sig = labelSig(s.labels)
-	if f.add(s) != nil {
-		panic(fmt.Sprintf("obs: duplicate registration of %q%s", name, s.sig))
-	}
-}
-
-// SetHistogramFunc registers a histogram snapshot collector for name+labels,
-// replacing any previous binding for the same series.
+// (the transport's batch-size buckets) — replacing any previous binding for
+// the same series.
 func (r *Registry) SetHistogramFunc(name, help string, fn func() HistSnapshot, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -114,7 +114,7 @@ func TestCollectorValuesFlow(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("c_total", "help", func() uint64 { return 42 })
 	r.GaugeFunc("g", "help", func() float64 { return 1.5 })
-	r.HistogramFunc("h_seconds", "help", func() HistSnapshot {
+	r.SetHistogramFunc("h_seconds", "help", func() HistSnapshot {
 		return HistSnapshot{Buckets: []uint64{0, 2}, Count: 2, Sum: 6, Scale: 1e-9}
 	})
 	for _, s := range r.Gather() {

@@ -89,65 +89,45 @@ func BenchmarkExportImport(b *testing.B) {
 	}
 }
 
-// BenchmarkExportImportWire is the wire-format A/B at equal flush policy:
-// identical transport, staging ring, retransmit window, and flush tuning in
-// both runs — the only difference is PerTupleFrames, i.e. whether a writer
-// drain leaves as one v2 batch frame or as one v1 frame per tuple. This is
-// the BENCH_9 comparison; every row reports gomaxprocs for provenance (on a
-// 1-core box the writer, reader, and producer share the core, so the
-// per-frame CPU overhead is what the batch amortizes away).
+// BenchmarkExportImportWire is BenchmarkExportImport with every row keyed
+// as BENCH_9's batch rows (wire=batch/payload=N) and reporting gomaxprocs for
+// provenance, plus a check that the writer actually amortizes drains into
+// shared frames.
 func BenchmarkExportImportWire(b *testing.B) {
-	modes := []struct {
-		name     string
-		perTuple bool
-	}{
-		{"batch", false},
-		{"pertuple", true},
-	}
-	for _, mode := range modes {
-		for _, size := range benchPayloads {
-			b.Run(fmt.Sprintf("wire=%s/payload=%d", mode.name, size), func(b *testing.B) {
-				send, recv := loopbackPair(b)
-				exp := newExportOp("x")
-				exp.cfg = TransportConfig{
-					BlockTimeout:   time.Minute,
-					PerTupleFrames: mode.perTuple,
-				}.withDefaults()
-				if err := exp.connect(send, ""); err != nil {
-					b.Fatal(err)
-				}
-				imp := newImportSource("i")
-				imp.connect(recv, nil)
-				_, done := runImportDrain(imp, uint64(b.N))
+	for _, size := range benchPayloads {
+		b.Run(fmt.Sprintf("wire=batch/payload=%d", size), func(b *testing.B) {
+			send, recv := loopbackPair(b)
+			exp := newExportOp("x")
+			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
+			if err := exp.connect(send, ""); err != nil {
+				b.Fatal(err)
+			}
+			imp := newImportSource("i")
+			imp.connect(recv, nil)
+			_, done := runImportDrain(imp, uint64(b.N))
 
-				tp := benchTuple(size)
-				defer tp.Release()
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					exp.Process(0, tp, nil)
-				}
-				<-done
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-				if exp.Dropped() != 0 {
-					b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
-				}
-				if mode.perTuple {
-					if got, want := exp.WireFrames(), exp.Sent(); got != want {
-						b.Fatalf("per-tuple mode staged %d frames for %d tuples", got, want)
-					}
-				} else if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
-					// Only meaningful at volume: a tiny smoke run can drain
-					// one tuple per pass and legitimately never amortize.
-					b.Fatalf("batch mode staged %d frames for %d tuples; no amortization",
-						exp.WireFrames(), exp.Sent())
-				}
-				exp.close()
-				imp.close()
-			})
-		}
+			tp := benchTuple(size)
+			defer tp.Release()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exp.Process(0, tp, nil)
+			}
+			<-done
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			if exp.Dropped() != 0 {
+				b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
+			}
+			// Only meaningful at volume: a tiny smoke run can drain one tuple
+			// per pass and legitimately never amortize.
+			if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
+				b.Fatalf("staged %d frames for %d tuples; no amortization", exp.WireFrames(), exp.Sent())
+			}
+			exp.close()
+			imp.close()
+		})
 	}
 }
 
@@ -164,9 +144,9 @@ func (s *perTupleFlushSender) send(t *spl.Tuple) error {
 	return s.enc.encode(t)
 }
 
-// BenchmarkExportImportPerTupleFlush is the baseline the tentpole is
-// measured against: identical wire format and receive side, but the sender
-// holds a lock and flushes every frame individually.
+// BenchmarkExportImportPerTupleFlush is the flush-policy baseline: the same
+// receive side, but the sender holds a lock, frames every tuple alone, and
+// flushes every frame individually.
 func BenchmarkExportImportPerTupleFlush(b *testing.B) {
 	for _, size := range benchPayloads {
 		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
@@ -197,8 +177,8 @@ func BenchmarkExportImportPerTupleFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeSteadyState measures writeFrame with the scratch buffer
-// warm: steady-state encoding must be allocation-free.
+// BenchmarkEncodeSteadyState measures single-tuple writeFrame with the
+// scratch buffer warm: steady-state encoding must be allocation-free.
 func BenchmarkEncodeSteadyState(b *testing.B) {
 	enc := newEncoder(io.Discard)
 	tp := benchTuple(64)
@@ -228,7 +208,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// encodedFrame returns one wire frame for a payload of n bytes.
+// encodedFrame returns one single-tuple wire frame for a payload of n bytes.
 func encodedFrame(tb testing.TB, n int) []byte {
 	tb.Helper()
 	tp := benchTuple(n)
@@ -256,7 +236,7 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := dec.decode()
+		t, err := decodeOne(dec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -419,13 +399,13 @@ func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
 	dec := newDecoder(&loopReader{frame: encodedFrame(t, 64)})
-	warm, err := dec.decode() // warm the tuple and payload pools
+	warm, err := decodeOne(dec) // warm the tuple and payload pools
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Release()
 	allocs := testing.AllocsPerRun(100, func() {
-		tp, err := dec.decode()
+		tp, err := decodeOne(dec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,7 @@ type chaosResult struct {
 	stream  StreamStats
 	sup     exec.SupervisionStats
 	panics  uint64
+	fused   uint64 // tuples PE1 ran through compiled region programs
 	log     []byte
 	drained bool
 }
@@ -26,12 +27,10 @@ type chaosResult struct {
 // runChaosOnce runs the two-PE seqJob under a seeded injector that kills
 // the stream's connection, corrupts frames on the wire, and panics the
 // downstream work operator past its panic budget, then drains gracefully.
-// perTuple selects the v1 frame-per-tuple wire (streamrun's
-// -wirebatch=false); false runs the default v2 batch frames. Chaos hooks
-// fire once per staged tuple in either mode, so the injector's event ranks —
-// and therefore its log — are a pure function of the seed, not of the wire
-// format.
-func runChaosOnce(t *testing.T, seed int64, n uint64, perTuple bool) chaosResult {
+// Chaos hooks fire once per staged tuple and once per operator invocation,
+// so the injector's event ranks — and therefore its log — are a pure
+// function of the seed, not of framing or batching.
+func runChaosOnce(t *testing.T, seed int64, n uint64) chaosResult {
 	t.Helper()
 	g, sink := seqJob(t, n)
 	assign := Assignment{0, 0, 1, 1}
@@ -39,7 +38,7 @@ func runChaosOnce(t *testing.T, seed int64, n uint64, perTuple bool) chaosResult
 	job, err := Launch(g, assign, Options{
 		DisableElasticity: true,
 		// Backpressure instead of drops: conservation must close exactly.
-		Transport: TransportConfig{BlockTimeout: time.Minute, PerTupleFrames: perTuple},
+		Transport: TransportConfig{BlockTimeout: time.Minute},
 		Fault:     inj,
 		Exec: exec.Options{
 			PanicBudget:    2,
@@ -77,6 +76,7 @@ func runChaosOnce(t *testing.T, seed int64, n uint64, perTuple bool) chaosResult
 	res.stream = job.StreamStats()[0]
 	res.sup = job.PEs[1].Eng.Supervision()
 	res.panics = job.PEs[1].Eng.OperatorPanics()
+	res.fused = job.PEs[1].Eng.SchedStats().FusedTuples
 	res.log = inj.LogBytes()
 	if got := inj.Fires(fault.ConnKill, 0); got != 3 {
 		t.Errorf("conn kills fired %d times, want 3", got)
@@ -93,14 +93,14 @@ func runChaosOnce(t *testing.T, seed int64, n uint64, perTuple bool) chaosResult
 // TestChaosExactlyOnceUnderFaults is the acceptance test for the
 // self-healing runtime: with connection kills, wire corruption, and
 // operator panics injected mid-run — the corruptions landing mid-batch-frame
-// on the default v2 wire — the stream still delivers exactly-once (no
-// duplicates) and every emitted tuple is accounted for: delivered, counted
-// as a contained panic, or counted as a quarantine drop. Running the same
-// seed twice must produce a byte-identical fault log.
+// and the panics firing inside PE1's compiled region — the stream still
+// delivers exactly-once (no duplicates) and every emitted tuple is accounted
+// for: delivered, counted as a contained panic, or counted as a quarantine
+// drop. Running the same seed twice must produce a byte-identical fault log.
 func TestChaosExactlyOnceUnderFaults(t *testing.T) {
 	const n = 12000
 	const seed = 42
-	res := runChaosOnce(t, seed, n, false)
+	res := runChaosOnce(t, seed, n)
 
 	if !res.drained {
 		t.Fatal("job did not drain under injected faults")
@@ -136,68 +136,15 @@ func TestChaosExactlyOnceUnderFaults(t *testing.T) {
 	if res.sup.Dropped == 0 {
 		t.Fatal("quarantine engaged but dropped nothing")
 	}
+	if res.fused == 0 {
+		t.Fatal("PE1 never ran its compiled region: the faults did not exercise the production path")
+	}
 
 	// Determinism artifact: an identical seed over identical per-site event
 	// streams yields a byte-identical fault log.
-	res2 := runChaosOnce(t, seed, n, false)
+	res2 := runChaosOnce(t, seed, n)
 	if !bytes.Equal(res.log, res2.log) {
 		t.Fatalf("fault logs differ across same-seed runs:\nrun1:\n%srun2:\n%s", res.log, res2.log)
-	}
-}
-
-// TestChaosWireModeAB runs the full fault cocktail — connection kills and
-// frame corruptions landing mid-batch-frame — once per wire mode at the same
-// seed and pins the A/B contract of the -wirebatch switch: both modes
-// deliver exactly-once with conservation closing exactly, the fault logs are
-// byte-identical (event ranks depend on staging order, not framing), and the
-// frame counters prove the framing actually differed — per-tuple stages one
-// frame per tuple while batch mode amortizes, retransmits included.
-func TestChaosWireModeAB(t *testing.T) {
-	const n = 12000
-	const seed = 42
-	batch := runChaosOnce(t, seed, n, false)
-	per := runChaosOnce(t, seed, n, true)
-
-	for _, run := range []struct {
-		name string
-		res  chaosResult
-	}{{"batch", batch}, {"pertuple", per}} {
-		if !run.res.drained {
-			t.Fatalf("%s: job did not drain under injected faults", run.name)
-		}
-		if run.res.sink.dups != 0 {
-			t.Fatalf("%s: %d duplicated tuples reached the sink", run.name, run.res.sink.dups)
-		}
-		delivered := run.res.sink.count.Load()
-		if total := delivered + run.res.panics + run.res.sup.Dropped; total != n {
-			t.Fatalf("%s: conservation broken: delivered %d + panics %d + drops %d = %d, want %d",
-				run.name, delivered, run.res.panics, run.res.sup.Dropped, total, n)
-		}
-		st := run.res.stream
-		if st.Sent != n || st.Received != n || st.Dropped != 0 {
-			t.Fatalf("%s: wire counters sent=%d received=%d dropped=%d, want %d/%d/0",
-				run.name, st.Sent, st.Received, st.Dropped, n, n)
-		}
-	}
-
-	// The injector saw the same event stream regardless of framing.
-	if !bytes.Equal(batch.log, per.log) {
-		t.Fatalf("fault logs differ across wire modes:\nbatch:\n%spertuple:\n%s", batch.log, per.log)
-	}
-
-	// Framing evidence: per-tuple mode stages exactly one frame per tuple;
-	// batch mode must have amortized at least some drains into shared frames.
-	if per.stream.WireFrames != per.stream.Sent {
-		t.Fatalf("per-tuple mode staged %d frames for %d tuples, want equal",
-			per.stream.WireFrames, per.stream.Sent)
-	}
-	if batch.stream.WireFrames >= batch.stream.Sent {
-		t.Fatalf("batch mode staged %d frames for %d tuples; expected amortization",
-			batch.stream.WireFrames, batch.stream.Sent)
-	}
-	if batch.stream.FramesReceived == 0 || per.stream.FramesReceived == 0 {
-		t.Fatalf("import frame counters never moved: batch=%d pertuple=%d",
-			batch.stream.FramesReceived, per.stream.FramesReceived)
 	}
 }
 

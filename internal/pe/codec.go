@@ -16,38 +16,27 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// maxFrameBytes bounds a single encoded frame (v1 tuple or v2 batch),
-// protecting readers from corrupt or hostile length prefixes.
+// maxFrameBytes bounds a single encoded frame, protecting readers from
+// corrupt or hostile length prefixes.
 const maxFrameBytes = 16 << 20
 
-// v1 frame layout (little endian):
-//
-//	u32 frameLen (bytes after this field; high bit clear)
-//	u64 wireSeq (per-stream transport sequence, 1-based; the reconnect
-//	            protocol's resume/ack/dedup currency — distinct from the
-//	            application-level Tuple.Seq below)
-//	u64 seq, u64 key, i64 time
-//	f64 num1, f64 num2
-//	u32 textLen, text bytes
-//	u32 payloadLen, payload bytes
-const fixedHeaderBytes = 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4
-
-// batchFrameFlag is the high bit of the u32 length prefix and marks a v2
-// batch frame. It is unambiguous because a v1 frameLen never exceeds
-// maxFrameBytes (16 MiB < 2^31), and a v1-only decoder that reads a flagged
-// prefix sees an impossibly large length and fails closed.
+// batchFrameFlag is the high bit of the u32 length prefix. Every frame on
+// the wire (format v2) is a batch frame and carries it; a prefix without
+// the flag is malformed and fails closed.
 const batchFrameFlag = uint32(1) << 31
 
-// v2 batch frame layout (little endian):
+// Batch frame layout (little endian):
 //
 //	u32 frameLen | batchFrameFlag (bytes after this field)
-//	u64 baseSeq (wire sequence of the first tuple; tuple i carries
-//	            baseSeq+i implicitly — per-tuple wire seqs never hit the wire)
+//	u64 baseSeq (wire sequence of the first tuple: the per-stream transport
+//	            sequence, 1-based, that the reconnect protocol resumes, acks
+//	            and dedups by — distinct from the application Tuple.Seq; tuple
+//	            i carries baseSeq+i implicitly)
 //	u32 count (tuples in the batch, 1..maxBatchTuples)
 //	count zigzag-varint record lengths, each a delta from the previous
 //	      record's length (the first from 0) — uniform tuples cost 1 byte
 //	      for the first and 1 zero byte per subsequent tuple
-//	count records, concatenated; each record is the v1 body minus wireSeq:
+//	count records, concatenated; each record is:
 //	      u64 seq, u64 key, i64 time, f64 num1, f64 num2,
 //	      u32 textLen, text bytes, u32 payloadLen, payload bytes
 const (
@@ -77,24 +66,7 @@ const batchTargetBytes = logBlockBytes - 4
 // buffer: it writes to the socket straight from its block log.
 const wireBufBytes = 64 << 10
 
-// v1FrameBytes returns tuple t's wire size as a v1 frame, length prefix
-// included.
-func v1FrameBytes(t *spl.Tuple) int {
-	return 4 + fixedHeaderBytes + len(t.Text) + len(t.Payload)
-}
-
-// appendFrame appends one v1 tuple frame (length prefix included) carrying
-// wire sequence wireSeq to dst. The caller has checked the frame against
-// maxFrameBytes; the export's block log marshals straight into its open block
-// through this, so a staged frame's bytes outlive the pooled tuple.
-func appendFrame(dst []byte, wireSeq uint64, t *spl.Tuple) []byte {
-	b := binary.LittleEndian.AppendUint32(dst, uint32(fixedHeaderBytes+len(t.Text)+len(t.Payload)))
-	b = binary.LittleEndian.AppendUint64(b, wireSeq)
-	return appendRecord(b, t)
-}
-
-// appendRecord appends the fields every frame format carries per tuple: the
-// v1 body minus wireSeq, which is also a v2 batch record.
+// appendRecord appends tuple t's batch record.
 func appendRecord(b []byte, t *spl.Tuple) []byte {
 	b = binary.LittleEndian.AppendUint64(b, t.Seq)
 	b = binary.LittleEndian.AppendUint64(b, t.Key)
@@ -105,19 +77,6 @@ func appendRecord(b []byte, t *spl.Tuple) []byte {
 	b = append(b, t.Text...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
 	return append(b, t.Payload...)
-}
-
-// marshalFrame encodes one tuple frame carrying wire sequence wireSeq into
-// dst[:0] (growing it when too small), returning the encoded slice.
-func marshalFrame(dst []byte, wireSeq uint64, t *spl.Tuple) ([]byte, error) {
-	need := v1FrameBytes(t)
-	if need-4 > maxFrameBytes {
-		return nil, fmt.Errorf("pe: tuple frame %d bytes exceeds limit %d", need-4, maxFrameBytes)
-	}
-	if cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
-	return appendFrame(dst[:0], wireSeq, t), nil
 }
 
 // zigzag maps a signed delta to an unsigned varint-friendly value (small
@@ -156,8 +115,9 @@ func batchBodyBytes(ts []*spl.Tuple) int {
 // appendBatchFrame appends one v2 batch frame (length prefix included) of
 // body bytes carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst.
 // The caller has sized the batch: 1..maxBatchTuples tuples, body ==
-// batchBodyBytes(ts) <= maxFrameBytes. Like appendFrame it writes into the
-// block log's open block, so the frame bytes outlive the pooled tuples.
+// batchBodyBytes(ts) <= maxFrameBytes. The export's block log marshals
+// straight into its open block through this, so the frame bytes outlive the
+// pooled tuples.
 func appendBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple, body int) []byte {
 	b := binary.LittleEndian.AppendUint32(dst, uint32(body)|batchFrameFlag)
 	b = binary.LittleEndian.AppendUint64(b, baseSeq)
@@ -220,111 +180,26 @@ func (d *decoder) wireSeq() uint64 { return d.seq }
 // lastFrameBytes returns the wire size of the last decoded frame.
 func (d *decoder) lastFrameBytes() int { return d.last }
 
-// decode reads one tuple, returning io.EOF (possibly wrapped) when the
-// stream ends cleanly. The frame bytes land once in a pooled, ref-counted
-// arena and the tuple's Payload is a zero-copy *view* into it — no
-// per-frame payload copy, no payload-pool round trip. The tuple struct
-// comes from the spl pool and holds the arena reference; the PR 1 ownership
-// protocol extends across the wire, so the consumer must Release the tuple
-// (directly or via the runtime) when its life ends, which is what lets the
-// arena buffer recycle.
-func (d *decoder) decode() (*spl.Tuple, error) {
-	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
-		return nil, err
-	}
-	return d.decodeV1(binary.LittleEndian.Uint32(d.lenBuf[:]))
-}
-
-// decodeV1 reads and materializes a v1 frame body given its raw length
-// prefix. A batch-flagged prefix fails the range check below (the flagged
-// value exceeds maxFrameBytes), which is exactly the fail-closed behaviour a
-// v1-only peer must have.
-func (d *decoder) decodeV1(frameLen uint32) (*spl.Tuple, error) {
-	if frameLen < fixedHeaderBytes || frameLen > maxFrameBytes {
-		return nil, fmt.Errorf("pe: invalid frame length %d", frameLen)
-	}
-	a := spl.AcquireArena(int(frameLen))
-	b := a.Bytes()
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		a.Release()
-		return nil, fmt.Errorf("pe: truncated frame: %w", err)
-	}
-	t := spl.AcquireTuple()
-	// fail drops both the creator's arena reference and the half-built
-	// tuple (which never attached, so releasing it cannot double-drop).
-	fail := func(err error) (*spl.Tuple, error) {
-		t.Release()
-		a.Release()
-		return nil, err
-	}
-	wireSeq := binary.LittleEndian.Uint64(b[0:])
-	t.Seq = binary.LittleEndian.Uint64(b[8:])
-	t.Key = binary.LittleEndian.Uint64(b[16:])
-	t.Time = int64(binary.LittleEndian.Uint64(b[24:]))
-	t.Num1 = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
-	t.Num2 = math.Float64frombits(binary.LittleEndian.Uint64(b[40:]))
-	off := 48
-	textLen := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+textLen > len(b) {
-		return fail(fmt.Errorf("pe: text length %d overruns frame", textLen))
-	}
-	if textLen > 0 {
-		// Strings are immutable and may outlive the frame (operators stash
-		// them in aggregates), so the text cannot be a view; this is the one
-		// copy decode still pays, and only on text-bearing tuples.
-		t.Text = string(b[off : off+textLen])
-	}
-	off += textLen
-	if off+4 > len(b) {
-		return fail(fmt.Errorf("pe: frame too short for payload length"))
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+payloadLen != len(b) {
-		return fail(fmt.Errorf("pe: payload length %d inconsistent with frame", payloadLen))
-	}
-	if payloadLen > 0 {
-		t.AttachArena(a, b[off:off+payloadLen])
-	}
-	// Drop the creator reference: from here the arena lives exactly as long
-	// as the tuple's view (or dies now for payload-less tuples).
-	a.Release()
-	d.seq = wireSeq
-	d.last = 4 + int(frameLen)
-	d.nread += uint64(d.last)
-	return t, nil
-}
-
-// decodeFrame reads one wire frame — v1 single tuple or v2 batch — and
-// materializes its tuples into out, returning the tuple count and the wire
-// sequence of the first tuple (tuple i carries first+i). out must hold at
-// least maxBatchTuples entries. A batch frame's tuples share one pooled
-// arena: the records are read into it once and every payload is a zero-copy
-// view, attached through references pre-taken in a single RetainN. The frame
-// is fully validated before any tuple is built, so a hostile or truncated
-// frame fails closed — no tuples escape, the arena is released, and the
-// error poisons the connection.
+// decodeFrame reads one wire frame and materializes its tuples into out,
+// returning the tuple count and the wire sequence of the first tuple (tuple
+// i carries first+i), or io.EOF (possibly wrapped) when the stream ends
+// cleanly. out must hold at least maxBatchTuples entries. A frame's tuples
+// share one pooled arena: the records are read into it once and every
+// payload is a zero-copy view, attached through references pre-taken in a
+// single RetainN. The tuple ownership protocol extends across the wire, so
+// consumers must Release each tuple (directly or via the runtime) when its
+// life ends, which is what lets the arena recycle. The frame is fully
+// validated before any tuple is built, so a hostile or truncated frame —
+// an unflagged length prefix included — fails closed: no tuples escape, the
+// arena is released, and the error poisons the connection.
 func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
 		return 0, 0, err
 	}
 	raw := binary.LittleEndian.Uint32(d.lenBuf[:])
-	if raw&batchFrameFlag == 0 {
-		t, err := d.decodeV1(raw)
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(out) < 1 {
-			t.Release()
-			return 0, 0, fmt.Errorf("pe: no output capacity for frame")
-		}
-		out[0] = t
-		return 1, d.seq, nil
-	}
 	frameLen := raw &^ batchFrameFlag
-	if frameLen < batchHeaderBytes+1+batchRecordFixed || frameLen > maxFrameBytes {
-		return 0, 0, fmt.Errorf("pe: invalid batch frame length %d", frameLen)
+	if raw&batchFrameFlag == 0 || frameLen < batchHeaderBytes+1+batchRecordFixed || frameLen > maxFrameBytes {
+		return 0, 0, fmt.Errorf("pe: invalid frame length prefix %#08x", raw)
 	}
 	a := spl.AcquireArena(int(frameLen))
 	b := a.Bytes()
@@ -405,7 +280,9 @@ func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 		t.Num2 = math.Float64frombits(binary.LittleEndian.Uint64(r[32:]))
 		textLen := int(binary.LittleEndian.Uint32(r[40:]))
 		if textLen > 0 {
-			// Same copy rationale as decodeV1: strings may outlive the frame.
+			// Strings are immutable and may outlive the frame (operators
+			// stash them in aggregates), so the text cannot be a view; this
+			// is the one copy decode still pays, on text-bearing tuples only.
 			t.Text = string(r[44 : 44+textLen])
 		}
 		if payloadLen := rec - batchRecordFixed - textLen; payloadLen > 0 {

@@ -11,6 +11,7 @@ import (
 	"streamelastic/internal/spl"
 )
 
+// roundTrip sends in as one single-tuple frame and decodes it back.
 func roundTrip(t *testing.T, in *spl.Tuple) *spl.Tuple {
 	t.Helper()
 	var buf bytes.Buffer
@@ -18,8 +19,7 @@ func roundTrip(t *testing.T, in *spl.Tuple) *spl.Tuple {
 	if err := enc.encode(in); err != nil {
 		t.Fatal(err)
 	}
-	dec := newDecoder(&buf)
-	out, err := dec.decode()
+	out, err := decodeOne(newDecoder(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		raw := append([]byte(nil), buf.Bytes()...) // decoding consumes buf
-		out, err := newDecoder(&buf).decode()
+		out, err := decodeOne(newDecoder(&buf))
 		if err != nil {
 			return false
 		}
@@ -83,68 +83,49 @@ func TestCodecStreamOfTuples(t *testing.T) {
 	}
 	dec := newDecoder(&buf)
 	for i := 0; i < 100; i++ {
-		out, err := dec.decode()
+		out, err := decodeOne(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Seq != uint64(i) {
-			t.Fatalf("tuple %d decoded as seq %d", i, out.Seq)
+		if out.Seq != uint64(i) || dec.wireSeq() != uint64(i)+1 {
+			t.Fatalf("frame %d decoded as seq %d, wire seq %d", i, out.Seq, dec.wireSeq())
 		}
 	}
-	if _, err := dec.decode(); err != io.EOF {
+	if _, err := decodeOne(dec); err != io.EOF {
 		t.Fatalf("decode past end = %v, want io.EOF", err)
 	}
 }
 
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	// Oversized length prefix.
-	var buf bytes.Buffer
-	lb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(lb, maxFrameBytes+1)
-	buf.Write(lb)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("oversized frame accepted")
+	tp := &spl.Tuple{Seq: 1, Text: "abc", Payload: []byte{1, 2, 3, 4}}
+	valid, err := marshalBatchFrame(nil, 1, []*spl.Tuple{tp})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Undersized length prefix.
-	buf.Reset()
-	binary.LittleEndian.PutUint32(lb, 4)
-	buf.Write(lb)
-	buf.Write(make([]byte, 4))
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("undersized frame accepted")
+	rec := len(valid) - batchRecordBytes(tp) // the record's offset in the frame
+	mutate := func(f func([]byte)) []byte {
+		b := append([]byte(nil), valid...)
+		f(b)
+		return b
 	}
-
-	// Text length overrunning the frame.
-	buf.Reset()
-	frame := make([]byte, fixedHeaderBytes)
-	binary.LittleEndian.PutUint32(frame[48:], 1000) // text length
-	binary.LittleEndian.PutUint32(lb, uint32(len(frame)))
-	buf.Write(lb)
-	buf.Write(frame)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("overrunning text length accepted")
+	prefix := func(raw uint32) []byte { return binary.LittleEndian.AppendUint32(nil, raw) }
+	cases := map[string][]byte{
+		// A valid frame whose length prefix lacks the batch flag.
+		"unflagged prefix":  mutate(func(b []byte) { b[3] &^= 0x80 }),
+		"oversized length":  prefix((maxFrameBytes + 1) | batchFrameFlag),
+		"undersized length": append(prefix(4|batchFrameFlag), 0, 0, 0, 0),
+		"truncated body":    append(prefix(100|batchFrameFlag), make([]byte, 10)...),
+		"text length overruns the record": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[rec+40:], 1000)
+		}),
+		"inconsistent payload length": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[rec+44+len(tp.Text):], 2)
+		}),
 	}
-
-	// Truncated frame body.
-	buf.Reset()
-	binary.LittleEndian.PutUint32(lb, 100)
-	buf.Write(lb)
-	buf.Write(make([]byte, 10))
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-
-	// Inconsistent payload length.
-	buf.Reset()
-	frame = make([]byte, fixedHeaderBytes+8)
-	binary.LittleEndian.PutUint32(frame[48:], 0)          // text len
-	binary.LittleEndian.PutUint32(frame[52:], 4)          // payload len, but 8 bytes remain
-	binary.LittleEndian.PutUint32(lb, uint32(len(frame))) //nolint:gosec
-	buf.Write(lb)
-	buf.Write(frame)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("inconsistent payload length accepted")
+	for name, wire := range cases {
+		if _, err := decodeOne(newDecoder(bytes.NewReader(wire))); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
@@ -173,8 +154,9 @@ func batchFixtureTuples() []*spl.Tuple {
 	}
 }
 
-// batchWireFixture builds a canonical multi-frame wire buffer — batch, v1,
-// batch — and the tuples each frame carries, plus each frame's end offset.
+// batchWireFixture builds a canonical multi-frame wire buffer — two batch
+// frames around a single-tuple one — and the tuples each frame carries, plus
+// each frame's end offset.
 func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int) {
 	tb.Helper()
 	ts := batchFixtureTuples()
@@ -182,8 +164,8 @@ func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v1 := &spl.Tuple{Seq: 200, Key: 9, Text: "solo", Payload: []byte{7}}
-	f2, err := marshalFrame(nil, 3, v1)
+	solo := &spl.Tuple{Seq: 200, Key: 9, Text: "solo", Payload: []byte{7}}
+	f2, err := marshalBatchFrame(nil, 3, []*spl.Tuple{solo})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -195,7 +177,7 @@ func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int
 	wire = append(wire, f2...)
 	wire = append(wire, f3...)
 	want = append(want, ts[:2]...)
-	want = append(want, v1)
+	want = append(want, solo)
 	want = append(want, ts[2:]...)
 	ends = []int{len(f1), len(f1) + len(f2), len(wire)}
 	return wire, want, ends
@@ -386,7 +368,7 @@ func TestDecodeIsZeroCopy(t *testing.T) {
 	dec := newDecoder(&buf)
 	tuples := make([]*spl.Tuple, 3)
 	for i := range tuples {
-		out, err := dec.decode()
+		out, err := decodeOne(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,25 +396,27 @@ func TestDecodeIsZeroCopy(t *testing.T) {
 	empty.Release()
 }
 
-// encoder is the v1 frame-per-tuple writer the transport used before the
-// block log: a buffered writer fed one marshalled frame at a time. It
-// survives as the tests' and baseline benchmarks' reference sender.
+// encoder is the tests' reference sender: a buffered writer fed one
+// single-tuple batch frame at a time, wire sequences counting from 1.
 type encoder struct {
 	w   *bufio.Writer
 	buf []byte
-	seq uint64 // wire sequence of the last frame written
+	one [1]*spl.Tuple // the frame's tuple slice, kept so encoding allocates nothing
+	seq uint64        // wire sequence of the last frame written
 }
 
 func newEncoder(w io.Writer) *encoder {
 	return &encoder{w: bufio.NewWriterSize(w, wireBufBytes)}
 }
 
-// writeFrame appends one tuple frame to the buffered writer without
+// writeFrame appends one single-tuple frame to the buffered writer without
 // flushing, returning the frame's wire size (length prefix included). The
-// wire sequence auto-increments from 1. The scratch buffer is reused across
-// calls, so steady-state encoding is allocation-free.
+// scratch buffer is reused across calls, so steady-state encoding is
+// allocation-free.
 func (e *encoder) writeFrame(t *spl.Tuple) (int, error) {
-	b, err := marshalFrame(e.buf, e.seq+1, t)
+	e.one[0] = t
+	b, err := marshalBatchFrame(e.buf, e.seq+1, e.one[:])
+	e.one[0] = nil
 	if err != nil {
 		return 0, err
 	}
@@ -453,4 +437,14 @@ func (e *encoder) encode(t *spl.Tuple) error {
 		return err
 	}
 	return e.flush()
+}
+
+// decodeOne reads one frame through decodeFrame; with room for a single
+// tuple, a frame carrying more fails closed.
+func decodeOne(d *decoder) (*spl.Tuple, error) {
+	var out [1]*spl.Tuple
+	if _, _, err := d.decodeFrame(out[:]); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

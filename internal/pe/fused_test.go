@@ -33,20 +33,3 @@ func TestJobFusedRegionsAcrossPEs(t *testing.T) {
 		}
 	}
 }
-
-// TestJobFusedDisabledFallback is the control: with region compilation
-// switched off via the exec options, the same job must still deliver every
-// tuple while the fused counters stay at zero.
-func TestJobFusedDisabledFallback(t *testing.T) {
-	const n = 1500
-	g, sink := jobChain(t, 4, n)
-	assign := Assignment{0, 0, 0, 1, 1, 1}
-	opts := Options{DisableElasticity: true}
-	opts.Exec.DisableRegionCompile = true
-	job := launchAndWait(t, g, assign, opts, sink, n)
-	for i, s := range job.SchedStats() {
-		if s.FusedTuples != 0 || s.FusedBatches != 0 {
-			t.Fatalf("PE %d took the compiled path with compilation disabled: %+v", i, s)
-		}
-	}
-}

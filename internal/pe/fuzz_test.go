@@ -12,9 +12,9 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// FuzzDecode hardens the wire decoder against arbitrary byte streams: it
-// must either return an error or a well-formed tuple, and never panic or
-// over-allocate. Run with `go test -fuzz=FuzzDecode ./internal/pe` for a
+// FuzzDecode hardens the wire decoder against arbitrary byte streams read
+// as single-tuple frames: it must either return an error or a well-formed
+// tuple, and never panic or over-allocate. Run with `go test -fuzz=FuzzDecode ./internal/pe` for a
 // full campaign; the seed corpus runs on every ordinary `go test`.
 func FuzzDecode(f *testing.F) {
 	// Seeds: a valid frame, truncations, hostile lengths.
@@ -26,13 +26,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	huge := make([]byte, 8)
-	binary.LittleEndian.PutUint32(huge, maxFrameBytes)
+	binary.LittleEndian.PutUint32(huge, maxFrameBytes|batchFrameFlag)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := newDecoder(bytes.NewReader(data))
 		for i := 0; i < 4; i++ {
-			tp, err := dec.decode()
+			tp, err := decodeOne(dec)
 			if err != nil {
 				return
 			}
@@ -59,12 +59,12 @@ func FuzzRoundTrip(f *testing.F) {
 			seq, key, ts, n1, n2, text, payload
 		var buf bytes.Buffer
 		if err := newEncoder(&buf).encode(&in); err != nil {
-			if len(text)+len(payload) > maxFrameBytes-fixedHeaderBytes {
+			if batchBodyBytes([]*spl.Tuple{&in}) > maxFrameBytes {
 				return // oversized tuples are rejected by contract
 			}
 			t.Fatalf("encode: %v", err)
 		}
-		out, err := newDecoder(&buf).decode()
+		out, err := decodeOne(newDecoder(&buf))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -82,12 +82,12 @@ func normalizeEmpty(b []byte) []byte {
 	return b
 }
 
-// FuzzBatchedFrames hardens the batched wire path: several frames coalesced
-// into one buffer (exactly what the writer goroutine produces between
-// flushes) must round-trip through the pooled decoder, survive truncation at
-// any offset with every intact prefix frame still decoding exactly, and
-// never panic on a hostile byte flip anywhere in the stream — including the
-// length prefixes.
+// FuzzBatchedFrames hardens the batched wire path: several batch frames of
+// different tuple counts coalesced into one buffer (exactly what the writer
+// goroutine produces between flushes) must round-trip through the pooled
+// decoder, survive truncation at any offset with every intact prefix frame
+// still decoding exactly, and never panic on a hostile byte flip anywhere in
+// the stream — including the length prefixes.
 func FuzzBatchedFrames(f *testing.F) {
 	f.Add(uint8(3), uint16(10), uint16(2), byte(0xff), "hello", []byte{1, 2, 3})
 	f.Add(uint8(8), uint16(0), uint16(0), byte(0x00), "", []byte{})
@@ -103,50 +103,65 @@ func FuzzBatchedFrames(f *testing.F) {
 			payload = payload[:4096]
 		}
 
-		// Coalesce n distinct frames into one buffer, flushing once at the
-		// end, and record where each frame ends on the wire.
-		var buf bytes.Buffer
-		enc := newEncoder(&buf)
+		// Coalesce n frames of 1..3 distinct tuples into one buffer and
+		// record where each frame ends on the wire.
+		var wire []byte
+		want := make([]spl.Tuple, 0, 3*n) // never regrows: frames point into it
+		counts := make([]int, n)
 		ends := make([]int, n)
-		want := make([]spl.Tuple, n)
-		off := 0
+		seq := uint64(1)
 		for i := 0; i < n; i++ {
-			in := tupleFixture
-			in.Seq = uint64(i)
-			in.Key = uint64(i)*7 + 1
-			in.Time = int64(i) - 3
-			in.Num1 = float64(i) * 1.5
-			in.Num2 = -float64(i)
-			in.Text = text[:len(text)*(i+1)/n]
-			in.Payload = payload[:len(payload)*(n-i)/n]
-			nb, err := enc.writeFrame(&in)
-			if err != nil {
-				t.Fatalf("writeFrame %d: %v", i, err)
+			counts[i] = i%3 + 1
+			ts := make([]*spl.Tuple, counts[i])
+			for j := range ts {
+				k := len(want)
+				in := tupleFixture
+				in.Seq = uint64(k)
+				in.Key = uint64(k)*7 + 1
+				in.Time = int64(k) - 3
+				in.Num1 = float64(k) * 1.5
+				in.Num2 = -float64(k)
+				in.Text = text[:len(text)*(i+1)/n]
+				in.Payload = payload[:len(payload)*(n-i)/n]
+				want = append(want, in)
+				ts[j] = &want[k]
 			}
-			off += nb
-			ends[i] = off
-			want[i] = in
+			frame, err := marshalBatchFrame(nil, seq, ts)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			wire = append(wire, frame...)
+			ends[i] = len(wire)
+			seq += uint64(len(ts))
 		}
-		if err := enc.flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		wire := buf.Bytes()
-		if len(wire) != off {
-			t.Fatalf("wire is %d bytes, frames summed to %d", len(wire), off)
+
+		// decodeFrames decodes the first `frames` frames through dec,
+		// checking every tuple against want and the implicit wire sequences.
+		out := make([]*spl.Tuple, maxBatchTuples)
+		decodeFrames := func(dec *decoder, frames int, what string) {
+			k := 0
+			for i := 0; i < frames; i++ {
+				got, first, err := dec.decodeFrame(out)
+				if err != nil {
+					t.Fatalf("%s: intact frame %d failed: %v", what, i, err)
+				}
+				if got != counts[i] || first != uint64(k)+1 {
+					t.Fatalf("%s: frame %d carried %d tuples from %d, want %d from %d",
+						what, i, got, first, counts[i], k+1)
+				}
+				for j := 0; j < got; j++ {
+					checkFrame(t, k, &want[k], out[j])
+					k++
+				}
+				releaseAll(out[:got])
+			}
 		}
 
 		// Intact buffer: every frame round-trips through the pooled decoder,
 		// the byte meter matches the wire, and the stream ends cleanly.
 		dec := newDecoder(bytes.NewReader(wire))
-		for i := 0; i < n; i++ {
-			out, err := dec.decode()
-			if err != nil {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-			checkFrame(t, i, &want[i], out)
-			out.Release()
-		}
-		if _, err := dec.decode(); err == nil {
+		decodeFrames(dec, n, "intact")
+		if _, _, err := dec.decodeFrame(out); err == nil {
 			t.Fatal("decode past the final frame succeeded")
 		}
 		if dec.bytesRead() != uint64(len(wire)) {
@@ -163,15 +178,8 @@ func FuzzBatchedFrames(f *testing.F) {
 			}
 		}
 		dec = newDecoder(bytes.NewReader(wire[:c]))
-		for i := 0; i < complete; i++ {
-			out, err := dec.decode()
-			if err != nil {
-				t.Fatalf("cut at %d: intact frame %d failed: %v", c, i, err)
-			}
-			checkFrame(t, i, &want[i], out)
-			out.Release()
-		}
-		if _, err := dec.decode(); err == nil {
+		decodeFrames(dec, complete, fmt.Sprintf("cut at %d", c))
+		if _, _, err := dec.decodeFrame(out); err == nil {
 			t.Fatalf("cut at %d: decode of incomplete frame %d succeeded", c, complete)
 		}
 
@@ -182,15 +190,18 @@ func FuzzBatchedFrames(f *testing.F) {
 		mut[int(mutPos)%len(mut)] ^= mutVal | 1
 		dec = newDecoder(bytes.NewReader(mut))
 		for i := 0; i <= n; i++ {
-			out, err := dec.decode()
+			got, _, err := dec.decodeFrame(out)
 			if err != nil {
 				break
 			}
-			if len(out.Text)+len(out.Payload) > len(mut) {
-				t.Fatalf("mutated stream decoded %d content bytes from %d input bytes",
-					len(out.Text)+len(out.Payload), len(mut))
+			content := 0
+			for j := 0; j < got; j++ {
+				content += len(out[j].Text) + len(out[j].Payload)
 			}
-			out.Release()
+			if content > len(mut) {
+				t.Fatalf("mutated stream decoded %d content bytes from %d input bytes", content, len(mut))
+			}
+			releaseAll(out[:got])
 		}
 	})
 }
@@ -200,8 +211,8 @@ func FuzzBatchedFrames(f *testing.F) {
 // seq-delta varints, and record lengths must all fail closed without a
 // panic, and a frame that does decode must never hand back more content
 // than its own wire bytes (the arena view cannot over-read its block). The
-// committed seed corpus under testdata/fuzz covers valid multi-batch
-// buffers, v1/v2 mixes, truncations, and targeted header/delta flips;
+// committed seed corpus under testdata/fuzz covers valid multi-frame
+// buffers, truncations, and targeted header/delta flips;
 // regenerate it with PE_GEN_CORPUS=1 go test -run TestGenBatchFrameCorpus.
 // Deterministic every-offset truncation and every-byte flips run in
 // TestBatchFrameTruncationEveryOffset and TestBatchFrameFlipEveryByte on
@@ -251,7 +262,7 @@ func batchFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	wire, _, ends := batchWireFixture(tb)
 	seeds := [][]byte{
-		wire,                     // valid batch, v1, batch mix
+		wire,                     // three valid frames
 		wire[:ends[0]],           // one whole batch frame
 		wire[:ends[0]-7],         // truncated mid-record
 		wire[:6],                 // truncated mid-header

@@ -35,7 +35,7 @@ func (x *exportOp) batchSnapshot() obs.HistSnapshot {
 func registerExportMetrics(r *obs.Registry, exp *exportOp, stream int, peer string) {
 	l := []obs.Label{{Key: "stream", Value: strconv.Itoa(stream)}, {Key: "dir", Value: "export"}, {Key: "peer", Value: peer}}
 	r.SetCounterFunc(obs.MetricTransportTuples, "Tuples carried by the stream endpoint.", exp.Sent, l...)
-	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames staged (one per batch, or per tuple with PerTupleFrames).", exp.WireFrames, l...)
+	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames staged (one per batch).", exp.WireFrames, l...)
 	r.SetCounterFunc(obs.MetricTransportBytes, "Wire bytes through the stream endpoint.", exp.BytesSent, l...)
 	r.SetCounterFunc(obs.MetricTransportDropped, "Tuples the export could not stage.", exp.Dropped, l...)
 	r.SetCounterFunc(obs.MetricTransportFlushes, "Explicit writer flush syscalls.", exp.Flushes, l...)
@@ -53,7 +53,7 @@ func registerExportMetrics(r *obs.Registry, exp *exportOp, stream int, peer stri
 func registerImportMetrics(r *obs.Registry, imp *importSource, stream int, peer string) {
 	l := []obs.Label{{Key: "stream", Value: strconv.Itoa(stream)}, {Key: "dir", Value: "import"}, {Key: "peer", Value: peer}}
 	r.SetCounterFunc(obs.MetricTransportTuples, "Tuples carried by the stream endpoint.", imp.Received, l...)
-	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames decoded (v1 single-tuple or v2 batch).", imp.FramesReceived, l...)
+	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames decoded (one per batch).", imp.FramesReceived, l...)
 	r.SetCounterFunc(obs.MetricTransportBytes, "Wire bytes through the stream endpoint.", imp.BytesReceived, l...)
 	r.SetCounterFunc(obs.MetricTransportDups, "Retransmitted tuples dropped by sequence dedup.", imp.DupsDropped, l...)
 	r.SetCounterFunc(obs.MetricTransportResumes, "Connections re-accepted after the first.", imp.Resumes, l...)

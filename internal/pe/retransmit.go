@@ -154,15 +154,6 @@ func (l *blockLog) stamp(b *logBlock, grew int, first, last uint64) {
 	l.appended += uint64(grew)
 }
 
-// appendTuple marshals t as the v1 frame carrying wire sequence seq. The
-// caller has checked full and the frame size (v1FrameBytes).
-func (l *blockLog) appendTuple(seq uint64, t *spl.Tuple) {
-	n := v1FrameBytes(t)
-	b := l.open(n)
-	b.buf = appendFrame(b.buf, seq, t)
-	l.stamp(b, n, seq, seq)
-}
-
 // appendBatch marshals ts as one v2 batch frame of body bytes covering wire
 // sequences first..first+len(ts)-1. The caller has checked full and sized
 // the chunk (see appendBatchFrame).
@@ -231,14 +222,11 @@ func (l *blockLog) skip() {
 	}
 }
 
-// frameSpan decodes the header of the encoded frame at the start of b: its
+// frameSpan decodes the header of the batch frame at the start of b: its
 // wire size and inclusive sequence range.
 func frameSpan(b []byte) (size int, first, last uint64) {
 	raw := binary.LittleEndian.Uint32(b)
 	first = binary.LittleEndian.Uint64(b[4:])
-	if raw&batchFrameFlag == 0 {
-		return 4 + int(raw), first, first
-	}
 	count := binary.LittleEndian.Uint32(b[12:])
 	return 4 + int(raw&^batchFrameFlag), first, first + uint64(count) - 1
 }

@@ -74,26 +74,19 @@ func flushAll(t *testing.T, l *blockLog) []byte {
 	return buf.Bytes()
 }
 
-// TestBlockLogRoundTrip stages batch and v1 frames across several blocks,
-// flushes them straight from block memory, and acknowledges everything: the
-// wire must decode to exactly what was staged and the retained bytes must
-// return to zero with the blocks on the free list.
+// TestBlockLogRoundTrip stages multi- and single-tuple frames across
+// several blocks, flushes them straight from block memory, and acknowledges
+// everything: the wire must decode to exactly what was staged and the
+// retained bytes must return to zero with the blocks on the free list.
 func TestBlockLogRoundTrip(t *testing.T) {
 	l := newBlockLog(1 << 20)
 	seq := uint64(0)
 	var want []wireFrame
 	for f := 0; f < 40; f++ {
-		if f%5 == 4 {
-			tp := logTuples(1000+seq, 1, 300)[0]
-			if l.full(v1FrameBytes(tp), 0) {
-				t.Fatal("log full")
-			}
-			l.appendTuple(seq+1, tp)
-			want = append(want, wireFrame{first: seq + 1, seqs: []uint64{tp.Seq}})
-			seq++
-			continue
-		}
 		ts := logTuples(1000+seq, 16, 500)
+		if f%5 == 4 {
+			ts = logTuples(1000+seq, 1, 300)
+		}
 		stageBatchFrame(t, l, seq+1, ts, 0)
 		wf := wireFrame{first: seq + 1}
 		for _, tp := range ts {
@@ -326,14 +319,15 @@ func TestBlockLogBudget(t *testing.T) {
 // gated byte budget without the log ever reporting full.
 func TestBlockLogManySmallFrames(t *testing.T) {
 	l := newBlockLog(gatedRetransmitBytes)
-	tp := &spl.Tuple{Seq: 1, Key: 2, Payload: make([]byte, 16)}
-	size := v1FrameBytes(tp)
+	one := []*spl.Tuple{{Seq: 1, Key: 2, Payload: make([]byte, 16)}}
+	body := batchBodyBytes(one)
+	size := 4 + body
 	const frames = 1<<15 + 1000
 	for seq := uint64(1); seq <= frames; seq++ {
 		if l.full(size, 0) {
 			t.Fatalf("log full at frame %d with %d of %d bytes retained", seq, l.retained, l.budget)
 		}
-		l.appendTuple(seq, tp)
+		l.appendBatch(seq, one, body)
 	}
 	if want := (frames*size + logBlockBytes - 1) / logBlockBytes * logBlockBytes; l.retained > want+logBlockBytes {
 		t.Fatalf("%d frames of %d bytes retain %d bytes, want about %d", frames, size, l.retained, want)

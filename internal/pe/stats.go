@@ -45,15 +45,10 @@ type TransportConfig struct {
 	RetransmitBytes int
 	// ReconnectBaseDelay/ReconnectMaxDelay bound the export's redial
 	// backoff after a lost connection: capped exponential growth from base
-	// to max, with jitter (defaults 10ms / 500ms).
+	// to max, with jitter (defaults 10ms / 500ms; a max below the base is
+	// raised to the base).
 	ReconnectBaseDelay time.Duration
 	ReconnectMaxDelay  time.Duration
-	// PerTupleFrames selects the v1 wire format: one frame per tuple,
-	// byte-identical to the pre-batch transport (the A/B switch behind
-	// streamrun's -wirebatch flag). The default encodes each writer drain
-	// as one v2 batch frame, amortizing header and log-append costs across
-	// the batch.
-	PerTupleFrames bool
 }
 
 const (
@@ -97,7 +92,7 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	if c.ReconnectBaseDelay <= 0 {
 		c.ReconnectBaseDelay = defaultReconnectBase
 	}
-	if c.ReconnectMaxDelay < c.ReconnectBaseDelay {
+	if c.ReconnectMaxDelay <= 0 {
 		c.ReconnectMaxDelay = defaultReconnectMax
 	}
 	if c.ReconnectMaxDelay < c.ReconnectBaseDelay {
@@ -153,15 +148,14 @@ type StreamStats struct {
 	// dups, resumes) are truthfully zero.
 	Local bool
 
-	// Send side: tuples encoded onto the wire, wire frames staged (one per
-	// batch by default, one per tuple with PerTupleFrames — Sent/WireFrames
-	// is the batch amortization ratio, WireFrames/Flushes the frames per
-	// flush), tuples dropped (stream not wired, errored, or staging ring
-	// full past the blocking budget), wire bytes written, explicit flush
-	// syscalls, and the writer's staging-ring drain-size histogram (log2
-	// buckets). DrainSizes counts ring drains, not flushes: one drain spans
-	// several frames only when it overflows maxFrameBytes, and several
-	// drains usually coalesce into one flush.
+	// Send side: tuples encoded onto the wire, batch frames staged
+	// (Sent/WireFrames is the batch amortization ratio, WireFrames/Flushes
+	// the frames per flush), tuples dropped (stream not wired, errored, or
+	// staging ring full past the blocking budget), wire bytes written,
+	// explicit flush syscalls, and the writer's staging-ring drain-size
+	// histogram (log2 buckets). DrainSizes counts ring drains, not flushes:
+	// one drain spans several frames only when it overflows maxFrameBytes,
+	// and several drains usually coalesce into one flush.
 	Sent       uint64
 	WireFrames uint64
 	Dropped    uint64

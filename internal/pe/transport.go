@@ -132,7 +132,7 @@ type exportOp struct {
 	seqHigh    atomic.Uint64 // highest wire sequence staged (readable snapshot of nextSeq)
 	retransT   atomic.Uint64 // tuples rewritten on resume (replay accounting)
 	sent       atomic.Uint64 // tuples staged (assigned a wire sequence)
-	wireFrames atomic.Uint64 // frames staged (one per tuple or per batch)
+	wireFrames atomic.Uint64 // batch frames staged
 	dropped    atomic.Uint64 // tuples the stream never staged
 	retrans    atomic.Uint64 // frame writes beyond the first (resume traffic)
 	reconnects atomic.Uint64 // successful re-attaches after a lost connection
@@ -713,77 +713,21 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 }
 
 // stagePending assigns wire sequences to the writer's pending tuples,
-// marshals their frames into the block log (waiting for acknowledgements
-// when the byte budget is spent), and releases the pooled clones; the frames
-// reach the socket at the next flush. The default encodes each ring drain as
-// v2 batch frames; PerTupleFrames selects the v1 frame-per-tuple wire,
-// byte-identical to the pre-batch transport. Chaos hooks fire here in both
-// modes — see stageBatch for the mid-batch-frame semantics.
+// marshals them as batch frames into the block log (waiting for
+// acknowledgements when the byte budget is spent), and releases the pooled
+// clones; the frames reach the socket at the next flush. The pending drain
+// is cut into chunks that fit batchTargetBytes (almost always one chunk — a
+// full writerBatchTuples drain of small tuples is a few KiB; bulk tuples
+// split so a frame fills one log block) and each chunk becomes one frame,
+// marshalled once, straight into the log. Chaos hooks fire once per tuple,
+// in staging order, so a fault plan's Nth event lands on the same tuple
+// however the drain is framed and same-seed event logs stay byte-identical;
+// the hook *effects* are applied per frame after all of the chunk's events
+// are ranked — a kill closes the socket, a stall sleeps, and a corruption
+// poisons the wire in place of the whole just-staged frame, which rides the
+// window to the next epoch (the mid-batch-frame fault surface).
 func (x *exportOp) stagePending(sess *connSession, st *writerState) error {
-	var err error
-	if x.cfg.PerTupleFrames {
-		err = x.stagePerTuple(sess, st)
-	} else {
-		err = x.stageBatch(sess, st)
-	}
-	x.window.Store(int64(st.log.retained))
-	return err
-}
-
-// stagePerTuple is the v1 wire: one frame and one chaos-hook evaluation per
-// tuple.
-func (x *exportOp) stagePerTuple(sess *connSession, st *writerState) error {
-	for st.pHead < len(st.pending) {
-		t := st.pending[st.pHead]
-		size := v1FrameBytes(t)
-		if size-4 > maxFrameBytes {
-			// The tuple cannot be framed at all (oversized); count and drop.
-			x.dropped.Add(1)
-			t.Release()
-			clearPending(st, 1)
-			continue
-		}
-		if err := x.awaitWindow(sess, st, size); err != nil {
-			return err
-		}
-		mark := st.log.appended
-		st.nextSeq++
-		st.log.appendTuple(st.nextSeq, t)
-		x.seqHigh.Store(st.nextSeq)
-		x.sent.Add(1)
-		x.wireFrames.Add(1)
-		t.Release()
-		clearPending(st, 1)
-		if x.inj != nil {
-			if x.inj.Fire(fault.ConnKill, x.site) {
-				_ = sess.conn.Close()
-			}
-			if d := x.inj.FireDelay(fault.WriterStall, x.site); d > 0 {
-				time.Sleep(d)
-			}
-			if x.inj.Fire(fault.FrameCorrupt, x.site) {
-				x.corrupts.Add(1)
-				return x.writeCorrupted(sess, st, mark)
-			}
-		}
-	}
-	st.pending = st.pending[:0]
-	st.pHead = 0
-	return nil
-}
-
-// stageBatch is the v2 wire: the pending drain is cut into chunks that fit
-// batchTargetBytes (almost always one chunk — a full writerBatchTuples drain
-// of small tuples is a few KiB; bulk tuples split so a frame fills one log
-// block) and each chunk becomes one batch frame, marshalled once, straight
-// into the log. Chaos hooks still fire once per tuple, in staging order, so a
-// fault plan's Nth event lands on the same tuple in either wire mode and
-// same-seed event logs stay byte-identical; the hook *effects* are applied
-// per frame after all of the chunk's events are ranked — a kill closes the
-// socket, a stall sleeps, and a corruption poisons the wire in place of the
-// whole just-staged frame, which rides the window to the next epoch (the
-// mid-batch-frame fault surface).
-func (x *exportOp) stageBatch(sess *connSession, st *writerState) error {
+	defer func() { x.window.Store(int64(st.log.retained)) }()
 	for st.pHead < len(st.pending) {
 		// Cut the next chunk, dropping tuples too large to frame even alone.
 		k, prev, body := 0, 0, batchHeaderBytes
@@ -1085,9 +1029,9 @@ func (x *exportOp) BytesSent() uint64 { return x.bytes.Load() }
 // Flushes returns the number of explicit flushes onto the connection.
 func (x *exportOp) Flushes() uint64 { return x.flushes.Load() }
 
-// WireFrames returns the number of frames staged onto the wire — one per
-// tuple with PerTupleFrames, one per batch otherwise. Sent/WireFrames is the
-// batch amortization ratio; WireFrames/Flushes is frames per flush.
+// WireFrames returns the number of batch frames staged onto the wire.
+// Sent/WireFrames is the batch amortization ratio; WireFrames/Flushes is
+// frames per flush.
 func (x *exportOp) WireFrames() uint64 { return x.wireFrames.Load() }
 
 // Retransmits returns the number of frame writes beyond each frame's first.
@@ -1217,7 +1161,7 @@ type importSource struct {
 
 	received  atomic.Uint64 // unique tuples delivered downstream
 	delivered atomic.Uint64 // highest wire sequence delivered (resume/dedup)
-	frames    atomic.Uint64 // wire frames decoded (v1 or batch)
+	frames    atomic.Uint64 // wire frames decoded
 	dups      atomic.Uint64 // retransmitted tuples dropped by dedup
 	resumes   atomic.Uint64 // connections re-accepted after the first
 	bytes     atomic.Uint64
@@ -1513,8 +1457,8 @@ func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done c
 }
 
 // serveConn speaks one connection epoch of the resume protocol: send the
-// delivered watermark as the handshake, then decode frames (v1 single-tuple
-// or v2 batch), dropping tuples whose wire sequences sit at or below the
+// delivered watermark as the handshake, then decode batch frames, dropping
+// tuples whose wire sequences sit at or below the
 // watermark (retransmitted duplicates — within a batch frame the overlap is
 // always a prefix, since sequences ascend) and acknowledging delivery
 // inline every ackEvery frames or ackEveryBytes with a ticker covering the
@@ -1851,7 +1795,7 @@ func (s *importSource) Received() uint64 { return s.received.Load() }
 // BytesReceived returns the wire bytes of successfully decoded frames.
 func (s *importSource) BytesReceived() uint64 { return s.bytes.Load() }
 
-// FramesReceived returns the number of wire frames decoded (v1 or batch).
+// FramesReceived returns the number of wire frames decoded.
 func (s *importSource) FramesReceived() uint64 { return s.frames.Load() }
 
 // DupsDropped returns the retransmitted duplicates dropped by dedup.

@@ -486,9 +486,7 @@ type sinkShard struct {
 // stripes merged lazily by Count. This is the post-Fig.-10 design: the
 // paper's data-parallel benchmark observes that a sink tracking throughput
 // with a lock-protected local variable becomes a contention point as the
-// thread count grows, so the shared lock is gone from the hot path. The
-// original lock-contention variant survives as LockedCountingSink for
-// baseline measurements.
+// thread count grows, so the shared lock is gone from the hot path.
 type CountingSink struct {
 	name   string
 	shards [sinkShards]sinkShard
@@ -541,54 +539,4 @@ func (c *CountingSink) Reset() {
 	for i := range c.shards {
 		c.shards[i].n.Store(0)
 	}
-}
-
-// LockedCountingSink is the paper's Fig. 10 contention baseline: a counter
-// behind one shared mutex that every worker must take per tuple. It exists
-// so benchmarks can measure the sharded sink against the lock-protected
-// variant; production graphs should use CountingSink.
-type LockedCountingSink struct {
-	name string
-
-	mu    sync.Mutex
-	count uint64
-}
-
-var (
-	_ Operator   = (*LockedCountingSink)(nil)
-	_ Resettable = (*LockedCountingSink)(nil)
-	_ Recyclable = (*LockedCountingSink)(nil)
-)
-
-// NewLockedCountingSink returns the mutex-serialized counting sink used as
-// the Fig. 10 lock-contention baseline.
-func NewLockedCountingSink(name string) *LockedCountingSink {
-	return &LockedCountingSink{name: name}
-}
-
-// Name returns the operator name.
-func (c *LockedCountingSink) Name() string { return c.name }
-
-// RecyclesTuples marks the sink as safe for tuple recycling.
-func (c *LockedCountingSink) RecyclesTuples() {}
-
-// Process counts the tuple under the shared mutex.
-func (c *LockedCountingSink) Process(_ int, _ *Tuple, _ Emitter) {
-	c.mu.Lock()
-	c.count++
-	c.mu.Unlock()
-}
-
-// Count returns the number of tuples received so far.
-func (c *LockedCountingSink) Count() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
-}
-
-// Reset zeroes the sink's counter.
-func (c *LockedCountingSink) Reset() {
-	c.mu.Lock()
-	c.count = 0
-	c.mu.Unlock()
 }

@@ -50,12 +50,6 @@ type RuntimeOptions struct {
 	// end-to-end latency; it overwrites the Time attribute, so leave it
 	// off when operators carry application event times there.
 	TrackLatency bool
-	// DisableWorkStealing routes every dynamic delivery through the shared
-	// scheduler queues instead of per-worker deques (A/B baselines).
-	DisableWorkStealing bool
-	// LocalQueueCapacity is the per-worker deque capacity, a power of two
-	// (default 256).
-	LocalQueueCapacity int
 	// WarmStart restores a previously captured configuration: the runtime
 	// begins settled at the snapshot's placement and thread count and only
 	// re-adapts on workload change. Capture snapshots with
@@ -66,14 +60,10 @@ type RuntimeOptions struct {
 	// time into the telemetry registry. 0 disables sampling; the disabled
 	// hot path costs a single integer compare.
 	SampleEvery int
-	// DisableRegionCompile turns off manual-region compilation: every
-	// delivery runs through the interpreted tuple-at-a-time path (A/B
-	// baselines).
-	DisableRegionCompile bool
 }
 
 // LatencySnapshot summarizes end-to-end tuple latency.
-type LatencySnapshot = metrics.LatencySnapshot
+type LatencySnapshot = exec.LatencySnapshot
 
 // ConfigSnapshot captures a converged elastic configuration for warm
 // restarts (JSON-serializable).
@@ -101,15 +91,12 @@ func NewRuntime(t *Topology, opts RuntimeOptions) (*Runtime, error) {
 	}
 	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
 	eng, err := exec.New(g, exec.Options{
-		MaxThreads:           opts.MaxThreads,
-		QueueCapacity:        opts.QueueCapacity,
-		AdaptPeriod:          opts.AdaptPeriod,
-		TrackLatency:         opts.TrackLatency,
-		DisableWorkStealing:  opts.DisableWorkStealing,
-		LocalQueueCapacity:   opts.LocalQueueCapacity,
-		SampleEvery:          opts.SampleEvery,
-		DisableRegionCompile: opts.DisableRegionCompile,
-		Recorder:             rec,
+		MaxThreads:    opts.MaxThreads,
+		QueueCapacity: opts.QueueCapacity,
+		AdaptPeriod:   opts.AdaptPeriod,
+		TrackLatency:  opts.TrackLatency,
+		SampleEvery:   opts.SampleEvery,
+		Recorder:      rec,
 	})
 	if err != nil {
 		return nil, err
