@@ -146,7 +146,7 @@ bench-fused-smoke:
 # BenchmarkExportImportWire wire=batch at 16B/64B/1KiB/16KiB payloads
 # ($(BENCH_COUNT) repeats per key at 2s each — the end-to-end loopback needs
 # a couple of seconds of steady state before connection setup, pool warmup,
-# and ring fill stop skewing the sample), plus the batch encode/decode
+# and window fill stop skewing the sample), plus the batch encode/decode
 # steady-state microbenchmarks. The last line reruns the legacy-keyed
 # transport benches so `make benchstat OLD=BENCH_2.json NEW=BENCH_9.json`
 # pairs them against their v1-era numbers.
@@ -156,9 +156,13 @@ bench-wire:
 	$(GO) test -json -run '^$$' -bench 'ExportImport$$|ExportImportPerTupleFlush$$|BenchmarkEncodeSteadyState$$|BenchmarkDecodeSteadyState$$' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
 
 # One-hundred-iteration smoke of the wire benches for CI: proves they build
-# and run, makes no timing claims.
+# and run, makes no timing claims. The small-payload wire rows then run at
+# 5000x, past the 4096-tuple volume where BenchmarkExportImportWire checks
+# that per-tuple Process calls share frames (WireFrames < Sent) — the check
+# a one-frame-per-tuple regression fails.
 bench-wire-smoke:
 	$(GO) test -run '^$$' -bench 'ExportImportWire|BatchEncodeSteadyState|BatchDecodeSteadyState' -benchtime 100x -benchmem ./internal/pe/
+	$(GO) test -run '^$$' -bench 'ExportImportWire/wire=batch/payload=(16|64)$$' -benchtime 5000x ./internal/pe/
 
 # benchstat diffs two committed BENCH_*.json artifacts with the stdlib-only
 # in-repo tool (averages repeated runs, marks better/worse per unit):

@@ -50,9 +50,6 @@ func main() {
 		clusterC = flag.Duration("clustercycle", 0, "with -cluster, alternate the desired width between the spec maximum and minimum at this interval (0 = hold the spec's desired width)")
 		file     = flag.String("file", "", "run a topology description file instead of a generated shape")
 
-		flushBytes  = flag.Int("flushbytes", 0, "transport: flush a stream once this many encoded bytes are pending (0 = 32KiB default)")
-		flushDelay  = flag.Duration("flushdelay", 0, "transport: max time an encoded frame waits unflushed under sustained traffic (0 = 1ms default)")
-		streamRing  = flag.Int("streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
 		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
 		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")
 		localEdges  = flag.Bool("localedges", false, "transport: route co-located cross-PE edges through the in-process fast path (direct ring handoff, no TCP); wire-level chaos faults do not apply to local edges")
@@ -76,10 +73,7 @@ func main() {
 	flag.Parse()
 
 	tcfg := pe.TransportConfig{
-		RingCapacity:  *streamRing,
-		FlushBytes:    *flushBytes,
-		MaxFlushDelay: *flushDelay,
-		DropOnFull:    *streamDrop,
+		DropOnFull: *streamDrop,
 	}
 	rcfg := resilienceConfig{
 		watchdog:     *watchdog,

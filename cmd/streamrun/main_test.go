@@ -31,7 +31,7 @@ func TestRunSkewedBushy(t *testing.T) {
 func TestRunMultiPE(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond}, false,
+		pe.TransportConfig{}, false,
 		resilienceConfig{watchdog: true, panicBudget: 2}, true,
 		true, obsConfig{})
 	if err != nil {

@@ -123,8 +123,8 @@ func (m *Manager) shrinkOne() error {
 //     and stream endpoints untouched).
 //  5. Wire new internal edges fresh (sequence domain from zero). At the
 //     up-boundary, seed the new import at the old import's delivered
-//     watermark and Reroute the frozen export to it: anything staged but
-//     undelivered replays from the retransmit ring on re-attach, so the
+//     watermark and Reroute the frozen export to it: anything appended but
+//     undelivered replays from the export's block log on re-attach, so the
 //     cut is exactly-once by construction.
 //  6. Retire the old members: close their endpoints, stop their engines.
 //     Then wire the down-boundary: a new export seeded at the retired
@@ -293,7 +293,7 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 		case newPos(ce.ToPE):
 			// Up-boundary: the surviving (frozen) export reroutes to a new
 			// import seeded at the old import's delivered watermark; frames
-			// staged but undelivered replay from the retransmit ring.
+			// appended but undelivered replay from the export's block log.
 			st, ok := streamByKey[key]
 			if !ok {
 				return abort(fmt.Errorf("cluster: up-boundary edge %v has no live stream", key))
@@ -470,16 +470,18 @@ func (m *Manager) quiesce(group []*member, up, internal, down []*streamRT) bool 
 // quiet checks the per-stream-class quiescence conditions:
 //
 //   - group engines idle (drained, queues empty, workers parked);
-//   - up-boundary: the import has emitted everything it delivered — frames
-//     staged but undelivered sit unacked in the frozen export's retransmit
-//     ring and replay to the replacement import after reroute, so they
-//     need not drain;
-//   - internal: staging ring empty and the import has delivered and
-//     emitted everything ever staged — the edge is replaced by a fresh
-//     sequence domain, so an undrained tuple here would be lost;
-//   - down-boundary: staging ring empty and the surviving import's dedup
-//     watermark has caught the export's sequence high — the replacement
-//     export seeds there with an empty ring, so a gap would never replay.
+//   - up-boundary: the import has emitted everything it delivered — tuples
+//     appended but undelivered sit unacked in the frozen export's block log
+//     and replay to the replacement import after reroute, so they need not
+//     drain;
+//   - internal: nothing appended but unwritten (StagedDepth zero: open
+//     frame sealed, log flushed) and the import has delivered and emitted
+//     everything ever appended — the edge is replaced by a fresh sequence
+//     domain, so an undrained tuple here would be lost;
+//   - down-boundary: nothing appended but unwritten and the surviving
+//     import's dedup watermark has caught the export's sequence high — the
+//     replacement export seeds there with an empty log, so a gap would
+//     never replay.
 func (m *Manager) quiet(group []*member, up, internal, down []*streamRT) bool {
 	for _, mem := range group {
 		if !mem.rt.Eng.WaitIdle(5 * time.Millisecond) {

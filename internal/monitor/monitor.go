@@ -83,9 +83,9 @@ type StreamStatus struct {
 	WireFrames uint64 `json:"wireFrames,omitempty"`
 	Bytes      uint64 `json:"bytes"`
 	// Dropped, Flushes, and DrainSizes are export-side only: tuples the
-	// stream could not carry, explicit flush syscalls, and the writer's
-	// staging-ring drain-size histogram (log2 buckets — ring drains, not
-	// wire batches or flush batches).
+	// stream could not carry, explicit flush syscalls, and the histogram of
+	// tuples per sealed wire frame (log2 buckets; ring pops on a local
+	// edge).
 	Dropped    uint64   `json:"dropped,omitempty"`
 	Flushes    uint64   `json:"flushes,omitempty"`
 	DrainSizes []uint64 `json:"drainSizes,omitempty"`

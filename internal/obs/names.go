@@ -52,9 +52,9 @@ const (
 	// MetricTransportUnackedBytes is the block memory an export's log is
 	// holding for replay right now — the retransmit window in bytes.
 	MetricTransportUnackedBytes = "transport_unacked_bytes"
-	// MetricTransportDrainSize is the writer's staging-ring drain-size
-	// histogram (tuples per drain). Formerly transport_batch_size, renamed
-	// because it records ring drains, not wire batches or flush batches.
+	// MetricTransportDrainSize is the histogram of tuples per sealed wire
+	// frame (per ring pop on a local edge). The name is kept from when it
+	// counted staging-ring drains: dashboards and /statusz read it.
 	MetricTransportDrainSize = "transport_drain_size"
 
 	// Watchdog.

@@ -52,16 +52,17 @@ func runImportDrain(imp *importSource, want uint64) (*atomic.Uint64, chan struct
 }
 
 // BenchmarkExportImport measures the batched transport end to end over a
-// loopback TCP pair: Process stages pooled clones, the writer goroutine
-// coalesces frames, the receive side decodes into pooled tuples and
-// batch-drains. tuples/s is reported alongside ns/op.
+// loopback TCP pair: Process encodes into the open frame, the writer
+// goroutine writes sealed frames, the reader validates them and the
+// consuming goroutine builds pooled tuples. tuples/s is reported alongside
+// ns/op.
 func BenchmarkExportImport(b *testing.B) {
 	for _, size := range benchPayloads {
 		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
 			send, recv := loopbackPair(b)
 			exp := newExportOp("x")
-			// A long block timeout makes the benchmark lossless: the ring
-			// applies backpressure instead of dropping under burst.
+			// A long block timeout makes the benchmark lossless: a spent
+			// budget applies backpressure instead of dropping under burst.
 			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
 			if err := exp.connect(send, ""); err != nil {
 				b.Fatal(err)
@@ -91,8 +92,8 @@ func BenchmarkExportImport(b *testing.B) {
 
 // BenchmarkExportImportWire is BenchmarkExportImport with every row keyed
 // as BENCH_9's batch rows (wire=batch/payload=N) and reporting gomaxprocs for
-// provenance, plus a check that the writer actually amortizes drains into
-// shared frames.
+// provenance, plus a check that per-tuple Process calls actually share
+// frames.
 func BenchmarkExportImportWire(b *testing.B) {
 	for _, size := range benchPayloads {
 		b.Run(fmt.Sprintf("wire=batch/payload=%d", size), func(b *testing.B) {
@@ -120,10 +121,10 @@ func BenchmarkExportImportWire(b *testing.B) {
 			if exp.Dropped() != 0 {
 				b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
 			}
-			// Only meaningful at volume: a tiny smoke run can drain one tuple
-			// per pass and legitimately never amortize.
+			// Only meaningful at volume: in a tiny smoke run the writer can
+			// seal every tuple alone and legitimately never amortize.
 			if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
-				b.Fatalf("staged %d frames for %d tuples; no amortization", exp.WireFrames(), exp.Sent())
+				b.Fatalf("sealed %d frames for %d tuples; no amortization", exp.WireFrames(), exp.Sent())
 			}
 			exp.close()
 			imp.close()
@@ -296,10 +297,10 @@ func encodedBatchFrame(tb testing.TB, n int) []byte {
 	return frame
 }
 
-// BenchmarkBatchDecodeSteadyState measures decodeFrame on a full batch
-// frame: one arena read and one RetainN materialize writerBatchTuples
-// arena-view tuples per op. Steady-state batch decoding must be
-// allocation-free with the pools warm.
+// BenchmarkBatchDecodeSteadyState measures both decode passes on a full
+// batch frame: one arena read and validation, then one RetainN materializing
+// writerBatchTuples arena-view tuples per op. Steady-state batch decoding
+// must be allocation-free with the pools warm.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 	dec := newDecoder(&loopReader{frame: encodedBatchFrame(b, 64)})
 	out := make([]*spl.Tuple, maxBatchTuples)
@@ -342,30 +343,29 @@ func TestBatchEncodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeSteadyStateZeroAlloc pins the zero-alloc contract of batch
-// decode. Skipped under -race for the same reason as
+// TestBatchDecodeSteadyStateZeroAlloc pins the zero-alloc contract of the
+// operator thread's share of decoding: building one validated full batch
+// frame's tuples. Skipped under -race for the same reason as
 // TestDecodeSteadyStateZeroAlloc: sync.Pool drops Puts there, and one batch
-// frame cycles writerBatchTuples pooled tuples plus a pooled arena.
+// frame cycles writerBatchTuples pooled tuples.
 func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
 	dec := newDecoder(&loopReader{frame: encodedBatchFrame(t, 64)})
-	out := make([]*spl.Tuple, maxBatchTuples)
-	n, _, err := dec.decodeFrame(out) // warm the tuple and arena pools
+	f, err := dec.readFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	releaseAll(out[:n])
-	allocs := testing.AllocsPerRun(100, func() {
-		n, _, err := dec.decodeFrame(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		releaseAll(out[:n])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state batch decode allocates %.1f objects per call, want 0", allocs)
+	defer f.a.Release()
+	out := make([]*spl.Tuple, maxBatchTuples)
+	build := func() {
+		f.a.Retain() // each build consumes a creator reference; keep the frame
+		releaseAll(out[:buildFrame(f, out)])
+	}
+	build() // warm the tuple pool
+	if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
+		t.Fatalf("steady-state frame build allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

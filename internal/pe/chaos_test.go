@@ -41,9 +41,13 @@ func runChaosOnce(t *testing.T, seed int64, n uint64) chaosResult {
 		Transport: TransportConfig{BlockTimeout: time.Minute},
 		Fault:     inj,
 		Exec: exec.Options{
-			PanicBudget:    2,
-			QuarantineBase: 2 * time.Millisecond,
-			QuarantineMax:  20 * time.Millisecond,
+			PanicBudget: 2,
+			// Short quarantines: the producing PE runs the whole stream in a
+			// few milliseconds, and the six panics need 240 invocations
+			// outside the quarantine windows for the plan — and so the log —
+			// to complete however quickly the wire delivers.
+			QuarantineBase: 200 * time.Microsecond,
+			QuarantineMax:  time.Millisecond,
 			PanicDecay:     time.Hour, // no forgiveness mid-test: counts stay predictable
 		},
 	})

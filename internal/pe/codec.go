@@ -45,12 +45,12 @@ const (
 )
 
 // maxBatchTuples bounds a batch frame's tuple count against hostile values;
-// the writer never stages more than writerBatchTuples per frame, so the
+// the export never seals more than writerBatchTuples into a frame, so the
 // bound is generous.
 const maxBatchTuples = 1024
 
-// batchTargetBytes is the soft body-size target the export's chunking loop
-// cuts batch frames at: one log block minus the length prefix, so a full
+// batchTargetBytes is the soft body-size target the export seals its open
+// frame at: one log block minus the length prefix, so a full
 // frame fills exactly one pooled block. Frame-overhead amortization
 // saturates after a few dozen records, but the costs that scale with frame
 // size keep growing: the importer materializes a whole frame into one arena
@@ -59,7 +59,7 @@ const maxBatchTuples = 1024
 // maxFrameBytes-sized chunks turn into multi-MiB blocks that thrash the
 // size-class pools and stall acks. A single tuple larger than the target
 // still gets its own frame (the hard bound stays maxFrameBytes); the target
-// only stops *more* tuples from piling into an already-large chunk.
+// only stops *more* tuples from piling into an already-large frame.
 const batchTargetBytes = logBlockBytes - 4
 
 // wireBufBytes sizes the importer's buffered reader. The export needs no such
@@ -94,8 +94,8 @@ func batchRecordBytes(t *spl.Tuple) int {
 
 // batchFrameAdd returns the wire bytes tuple t adds to a batch frame whose
 // previous record was prevRec bytes: its record plus the delta varint. The
-// export's chunking loop uses it to fit a staged drain under maxFrameBytes
-// with the exact arithmetic marshalBatchFrame applies.
+// export sizes its open frame with it, by the exact arithmetic
+// marshalBatchFrame applies.
 func batchFrameAdd(t *spl.Tuple, prevRec int) int {
 	rec := batchRecordBytes(t)
 	return uvarintLen(zigzag(int64(rec-prevRec))) + rec
@@ -112,16 +112,21 @@ func batchBodyBytes(ts []*spl.Tuple) int {
 	return body
 }
 
+// appendBatchHeader appends a v2 batch frame's length prefix, base sequence
+// and record count.
+func appendBatchHeader(dst []byte, body int, baseSeq uint64, count int) []byte {
+	b := binary.LittleEndian.AppendUint32(dst, uint32(body)|batchFrameFlag)
+	b = binary.LittleEndian.AppendUint64(b, baseSeq)
+	return binary.LittleEndian.AppendUint32(b, uint32(count))
+}
+
 // appendBatchFrame appends one v2 batch frame (length prefix included) of
 // body bytes carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst.
 // The caller has sized the batch: 1..maxBatchTuples tuples, body ==
-// batchBodyBytes(ts) <= maxFrameBytes. The export's block log marshals
-// straight into its open block through this, so the frame bytes outlive the
-// pooled tuples.
+// batchBodyBytes(ts) <= maxFrameBytes. The export seals a tuple too large to
+// share a frame straight into its block log through this.
 func appendBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple, body int) []byte {
-	b := binary.LittleEndian.AppendUint32(dst, uint32(body)|batchFrameFlag)
-	b = binary.LittleEndian.AppendUint64(b, baseSeq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
+	b := appendBatchHeader(dst, body, baseSeq, len(ts))
 	prev := 0
 	for _, t := range ts {
 		rec := batchRecordBytes(t)
@@ -150,18 +155,31 @@ func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, err
 	return appendBatchFrame(dst[:0], baseSeq, ts, body), nil
 }
 
-// decoder reads tuple frames from a stream.
+// frameRef is a validated wire frame on its way from the reader goroutine
+// to the operator thread that builds its tuples: the arena holding its body
+// (and the creator reference), its base wire sequence and record count, the
+// body offset where the records start, and how many leading records dedup
+// dropped.
+type frameRef struct {
+	a     *spl.Arena
+	base  uint64
+	count int
+	recs  int
+	skip  int
+}
+
+// decoder reads and validates wire frames from a stream.
 type decoder struct {
 	r     *bufio.Reader
 	nread uint64
-	seq   uint64 // wire sequence of the last decoded frame
-	last  int    // wire bytes of the last decoded frame
+	seq   uint64 // wire sequence of the last frame read
+	last  int    // wire bytes of the last frame read
 	// lenBuf is the length-prefix scratch; a local array would escape
 	// through the io.ReadFull interface call and cost an allocation per
 	// frame.
 	lenBuf [4]byte
-	// lens is the batch record-length scratch, reused across decodeFrame
-	// calls so steady-state batch decoding is allocation-free.
+	// lens is the record-length scratch, reused across frames so
+	// steady-state validation is allocation-free.
 	lens []int
 }
 
@@ -169,61 +187,71 @@ func newDecoder(r io.Reader) *decoder {
 	return &decoder{r: bufio.NewReaderSize(r, wireBufBytes)}
 }
 
-// bytesRead returns the cumulative wire bytes of successfully decoded
-// frames (length prefixes included).
+// bytesRead returns the cumulative wire bytes of successfully read frames
+// (length prefixes included).
 func (d *decoder) bytesRead() uint64 { return d.nread }
 
-// wireSeq returns the wire sequence of the last decoded frame; the import
-// side deduplicates retransmitted frames by it.
+// wireSeq returns the wire sequence of the last tuple of the last frame read.
 func (d *decoder) wireSeq() uint64 { return d.seq }
 
-// lastFrameBytes returns the wire size of the last decoded frame.
+// lastFrameBytes returns the wire size of the last frame read.
 func (d *decoder) lastFrameBytes() int { return d.last }
 
-// decodeFrame reads one wire frame and materializes its tuples into out,
-// returning the tuple count and the wire sequence of the first tuple (tuple
-// i carries first+i), or io.EOF (possibly wrapped) when the stream ends
-// cleanly. out must hold at least maxBatchTuples entries. A frame's tuples
-// share one pooled arena: the records are read into it once and every
-// payload is a zero-copy view, attached through references pre-taken in a
-// single RetainN. The tuple ownership protocol extends across the wire, so
-// consumers must Release each tuple (directly or via the runtime) when its
-// life ends, which is what lets the arena recycle. The frame is fully
-// validated before any tuple is built, so a hostile or truncated frame —
-// an unflagged length prefix included — fails closed: no tuples escape, the
-// arena is released, and the error poisons the connection.
-func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
+// readFrame reads one wire frame into a pooled arena and validates it, or
+// returns io.EOF (possibly wrapped) when the stream ends cleanly. It is pass
+// 1 of decoding, run by the reader goroutine: the frame is fully checked
+// before any tuple exists, so a hostile or truncated frame — an unflagged
+// length prefix included — fails closed: its arena is released and the
+// error poisons the connection. buildFrame, pass 2, cannot fail.
+func (d *decoder) readFrame() (frameRef, error) {
+	a, err := d.readRaw()
+	if err != nil {
+		return frameRef{}, err
+	}
+	f, err := d.validate(a)
+	if err != nil {
+		a.Release()
+		return frameRef{}, err
+	}
+	d.seq = f.base + uint64(f.count) - 1
+	d.last = 4 + len(a.Bytes())
+	d.nread += uint64(d.last)
+	return f, nil
+}
+
+// readRaw reads one length-prefixed frame body into a pooled arena holding
+// one creator reference.
+func (d *decoder) readRaw() (*spl.Arena, error) {
 	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	raw := binary.LittleEndian.Uint32(d.lenBuf[:])
 	frameLen := raw &^ batchFrameFlag
 	if raw&batchFrameFlag == 0 || frameLen < batchHeaderBytes+1+batchRecordFixed || frameLen > maxFrameBytes {
-		return 0, 0, fmt.Errorf("pe: invalid frame length prefix %#08x", raw)
+		return nil, fmt.Errorf("pe: invalid frame length prefix %#08x", raw)
 	}
 	a := spl.AcquireArena(int(frameLen))
+	if _, err := io.ReadFull(d.r, a.Bytes()); err != nil {
+		a.Release()
+		return nil, fmt.Errorf("pe: truncated batch frame: %w", err)
+	}
+	return a, nil
+}
+
+// validate checks a frame body read into a: the header's count and base
+// sequence, then that the delta-varint record lengths and every record's
+// text and payload lengths exactly tile the body. The caller keeps the
+// arena either way.
+func (d *decoder) validate(a *spl.Arena) (frameRef, error) {
 	b := a.Bytes()
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		a.Release()
-		return 0, 0, fmt.Errorf("pe: truncated batch frame: %w", err)
-	}
-	fail := func(err error) (int, uint64, error) {
-		a.Release()
-		return 0, 0, err
-	}
 	baseSeq := binary.LittleEndian.Uint64(b[0:])
 	count := int(binary.LittleEndian.Uint32(b[8:]))
 	if count < 1 || count > maxBatchTuples {
-		return fail(fmt.Errorf("pe: batch count %d outside [1, %d]", count, maxBatchTuples))
-	}
-	if count > len(out) {
-		return fail(fmt.Errorf("pe: batch count %d exceeds output capacity %d", count, len(out)))
+		return frameRef{}, fmt.Errorf("pe: batch count %d outside [1, %d]", count, maxBatchTuples)
 	}
 	if baseSeq == 0 || baseSeq > math.MaxUint64-uint64(count) {
-		return fail(fmt.Errorf("pe: batch base sequence %d invalid for count %d", baseSeq, count))
+		return frameRef{}, fmt.Errorf("pe: batch base sequence %d invalid for count %d", baseSeq, count)
 	}
-	// Pass 1: decode the delta-varint record lengths and check the records
-	// exactly tile the rest of the frame, every text/payload length included.
 	if cap(d.lens) < count {
 		d.lens = make([]int, maxBatchTuples)
 	}
@@ -233,44 +261,62 @@ func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 	for i := 0; i < count; i++ {
 		u, n := binary.Uvarint(b[off:])
 		if n <= 0 {
-			return fail(fmt.Errorf("pe: bad record length varint at offset %d", off))
+			return frameRef{}, fmt.Errorf("pe: bad record length varint at offset %d", off)
 		}
 		off += n
 		rec64 := int64(prev) + unzigzag(u)
 		if rec64 < batchRecordFixed || rec64 > maxFrameBytes {
-			return fail(fmt.Errorf("pe: record length %d outside [%d, %d]", rec64, batchRecordFixed, maxFrameBytes))
+			return frameRef{}, fmt.Errorf("pe: record length %d outside [%d, %d]", rec64, batchRecordFixed, maxFrameBytes)
 		}
 		lens[i] = int(rec64)
 		prev = int(rec64)
 	}
-	recsStart := off
+	f := frameRef{a: a, base: baseSeq, count: count, recs: off}
 	for i := 0; i < count; i++ {
 		rec := lens[i]
 		if rec > len(b)-off {
-			return fail(fmt.Errorf("pe: record %d (%d bytes) overruns frame", i, rec))
+			return frameRef{}, fmt.Errorf("pe: record %d (%d bytes) overruns frame", i, rec)
 		}
 		r := b[off : off+rec]
 		textLen := int(binary.LittleEndian.Uint32(r[40:]))
 		if textLen > rec-batchRecordFixed {
-			return fail(fmt.Errorf("pe: text length %d overruns record", textLen))
+			return frameRef{}, fmt.Errorf("pe: text length %d overruns record", textLen)
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(r[44+textLen:]))
 		if payloadLen != rec-batchRecordFixed-textLen {
-			return fail(fmt.Errorf("pe: payload length %d inconsistent with record", payloadLen))
+			return frameRef{}, fmt.Errorf("pe: payload length %d inconsistent with record", payloadLen)
 		}
 		off += rec
 	}
 	if off != len(b) {
-		return fail(fmt.Errorf("pe: batch records end at %d, frame is %d bytes", off, len(b)))
+		return frameRef{}, fmt.Errorf("pe: batch records end at %d, frame is %d bytes", off, len(b))
 	}
-	// Pass 2: build the tuples. Validation above guarantees no failure from
-	// here, so reference accounting is straightforward: one pre-taken view
-	// reference per record (payload-less records return theirs immediately),
-	// plus the creator reference dropped at the end.
-	a.RetainN(int32(count))
-	off = recsStart
-	for i := 0; i < count; i++ {
-		rec := lens[i]
+	return f, nil
+}
+
+// buildFrame is pass 2 of decoding, run on the operator thread that emits
+// the tuples: it materializes records [f.skip, f.count) of a validated frame
+// into out (which must hold f.count-f.skip entries) and drops the creator
+// reference, returning the tuple count. The tuples share the frame's arena:
+// every payload is a zero-copy view, attached through references pre-taken
+// in a single RetainN (payload-less records return theirs at once). The
+// tuple ownership protocol extends across the wire, so consumers must
+// Release each tuple (directly or via the runtime) when its life ends, which
+// is what lets the arena recycle.
+func buildFrame(f frameRef, out []*spl.Tuple) int {
+	b := f.a.Bytes()
+	n := f.count - f.skip
+	f.a.RetainN(int32(n))
+	lo, off, prev := batchHeaderBytes, f.recs, 0
+	for i := 0; i < f.count; i++ {
+		u, k := binary.Uvarint(b[lo:])
+		lo += k
+		rec := prev + int(unzigzag(u))
+		prev = rec
+		if i < f.skip {
+			off += rec
+			continue
+		}
 		r := b[off : off+rec]
 		t := spl.AcquireTuple()
 		t.Seq = binary.LittleEndian.Uint64(r[0:])
@@ -286,16 +332,13 @@ func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 			t.Text = string(r[44 : 44+textLen])
 		}
 		if payloadLen := rec - batchRecordFixed - textLen; payloadLen > 0 {
-			t.AttachArenaRetained(a, r[48+textLen:48+textLen+payloadLen])
+			t.AttachArenaRetained(f.a, r[48+textLen:48+textLen+payloadLen])
 		} else {
-			a.Release()
+			f.a.Release()
 		}
-		out[i] = t
+		out[i-f.skip] = t
 		off += rec
 	}
-	a.Release()
-	d.seq = baseSeq + uint64(count) - 1
-	d.last = 4 + int(frameLen)
-	d.nread += uint64(d.last)
-	return count, baseSeq, nil
+	f.a.Release()
+	return n
 }

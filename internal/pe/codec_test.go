@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -437,6 +438,31 @@ func (e *encoder) encode(t *spl.Tuple) error {
 		return err
 	}
 	return e.flush()
+}
+
+// decodeFrame runs both decode passes back to back — readFrame's validation,
+// then buildFrame — and returns the tuple count and the first tuple's wire
+// sequence. A frame carrying more tuples than out holds fails closed.
+func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
+	f, err := d.readFrame()
+	if err != nil {
+		return 0, 0, err
+	}
+	if f.count > len(out) {
+		f.a.Release()
+		return 0, 0, fmt.Errorf("pe: batch count %d exceeds output capacity %d", f.count, len(out))
+	}
+	return buildFrame(f, out), f.base, nil
+}
+
+// releaseAll releases and nils every tuple of ts.
+func releaseAll(ts []*spl.Tuple) {
+	for i, t := range ts {
+		if t != nil {
+			t.Release()
+			ts[i] = nil
+		}
+	}
 }
 
 // decodeOne reads one frame through decodeFrame; with room for a single

@@ -11,16 +11,15 @@ import (
 
 // TestFreezeParksWriterWithoutDrops pins the per-edge freeze contract the
 // migration executor depends on: a frozen edge stops delivering, producers
-// blocked on the full staging ring park on the thaw instead of timing out
-// into the drop counter (even with a BlockTimeout far shorter than the
-// freeze), and unfreezing releases every staged tuple in order.
+// that spend the log's budget park on the thaw instead of timing out into
+// the drop counter (even with a BlockTimeout far shorter than the freeze),
+// and unfreezing delivers every appended tuple in order.
 func TestFreezeParksWriterWithoutDrops(t *testing.T) {
 	send, recv := loopbackPair(t)
 	exp := newExportOp("x")
 	exp.cfg = TransportConfig{
-		RingCapacity: 8,
-		FlushBytes:   1,
-		BlockTimeout: 30 * time.Millisecond,
+		RetransmitBytes: 2 * logBlockBytes,
+		BlockTimeout:    100 * time.Millisecond,
 	}.withDefaults()
 	if err := exp.connect(send, ""); err != nil {
 		t.Fatal(err)
@@ -64,17 +63,19 @@ func TestFreezeParksWriterWithoutDrops(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tp := spl.AcquireTuple()
 			tp.Seq = uint64(i)
+			tp.AcquirePayload(16 << 10)
 			exp.Process(0, tp, nil)
 			tp.Release()
 		}
 	}()
 
-	// The ring (capacity 8) fills; the producer must park on the thaw, not
-	// drop, even though BlockTimeout (30ms) elapses several times over.
-	time.Sleep(150 * time.Millisecond)
+	// Two blocks hold about six 16 KiB tuples; the producer must park on the
+	// thaw, not drop, even though BlockTimeout (100ms) elapses several times
+	// over.
+	time.Sleep(400 * time.Millisecond)
 	select {
 	case <-staged:
-		t.Fatal("producer finished staging 20 tuples into a frozen ring of 8: nothing parked")
+		t.Fatal("producer appended 20 tuples of 16 KiB into a frozen two-block log: nothing parked")
 	default:
 	}
 	if d := exp.Dropped(); d != 0 {

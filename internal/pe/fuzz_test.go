@@ -84,10 +84,11 @@ func normalizeEmpty(b []byte) []byte {
 
 // FuzzBatchedFrames hardens the batched wire path: several batch frames of
 // different tuple counts coalesced into one buffer (exactly what the writer
-// goroutine produces between flushes) must round-trip through the pooled
-// decoder, survive truncation at any offset with every intact prefix frame
-// still decoding exactly, and never panic on a hostile byte flip anywhere in
-// the stream — including the length prefixes.
+// goroutine writes in one flush) must round-trip through reader validation
+// and the consumer's build, survive truncation at any offset with every
+// intact prefix frame still decoding exactly, and fail closed without a
+// panic on a hostile byte flip anywhere in the stream — including the length
+// prefixes.
 func FuzzBatchedFrames(f *testing.F) {
 	f.Add(uint8(3), uint16(10), uint16(2), byte(0xff), "hello", []byte{1, 2, 3})
 	f.Add(uint8(8), uint16(0), uint16(0), byte(0x00), "", []byte{})
@@ -184,14 +185,14 @@ func FuzzBatchedFrames(f *testing.F) {
 		}
 
 		// Hostile flip anywhere in the stream (length prefixes included):
-		// the decoder may accept or reject frames but must stay bounded and
-		// never panic.
+		// the reader may accept or reject frames but must fail closed, stay
+		// bounded and never panic.
 		mut := append([]byte(nil), wire...)
 		mut[int(mutPos)%len(mut)] ^= mutVal | 1
 		dec = newDecoder(bytes.NewReader(mut))
 		for i := 0; i <= n; i++ {
-			got, _, err := dec.decodeFrame(out)
-			if err != nil {
+			got, ok := decodeSplit(t, dec, out)
+			if !ok {
 				break
 			}
 			content := 0
@@ -206,11 +207,53 @@ func FuzzBatchedFrames(f *testing.F) {
 	})
 }
 
-// FuzzBatchFrameDecode hardens decodeFrame — the v2 batch path included —
+// decodeSplit reads one frame the way the wire path does — readRaw and
+// validate on the reader goroutine's side, buildFrame on the consuming
+// operator thread's — and checks the fail-closed contract at the seam: a
+// rejected frame builds no tuple and its arena holds only the reader's
+// reference, which the reader drops; an accepted frame, once built, is held
+// by exactly its payload views, so releasing the tuples returns the arena.
+// ok is false when the stream ended or the frame was rejected.
+func decodeSplit(t *testing.T, dec *decoder, out []*spl.Tuple) (n int, ok bool) {
+	t.Helper()
+	a, err := dec.readRaw()
+	if err != nil {
+		return 0, false
+	}
+	f, err := dec.validate(a)
+	if err != nil {
+		if r := a.Refs(); r != 1 {
+			t.Fatalf("rejected frame's arena holds %d references, want the reader's 1", r)
+		}
+		a.Release()
+		return 0, false
+	}
+	n = buildFrame(f, out)
+	if n != f.count {
+		t.Fatalf("built %d tuples of a %d-record frame", n, f.count)
+	}
+	views := int32(0)
+	for _, tp := range out[:n] {
+		if tp == nil {
+			t.Fatalf("nil tuple in a built frame of %d", n)
+		}
+		if len(tp.Payload) > 0 {
+			views++
+		}
+	}
+	if views > 0 && a.Refs() != views {
+		t.Fatalf("built frame's arena holds %d references for %d payload views", a.Refs(), views)
+	}
+	return n, true
+}
+
+// FuzzBatchFrameDecode hardens the wire decoder as the transport splits it —
+// reader-side readRaw and validate, then the consumer's buildFrame —
 // against arbitrary byte streams: hostile length prefixes, counts, zigzag
 // seq-delta varints, and record lengths must all fail closed without a
-// panic, and a frame that does decode must never hand back more content
-// than its own wire bytes (the arena view cannot over-read its block). The
+// panic (no tuple built, the arena back to zero references), and a frame
+// that does decode must never hand back more content than the wire carried
+// (the arena view cannot over-read its block). The
 // committed seed corpus under testdata/fuzz covers valid multi-frame
 // buffers, truncations, and targeted header/delta flips;
 // regenerate it with PE_GEN_CORPUS=1 go test -run TestGenBatchFrameCorpus.
@@ -225,31 +268,24 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := newDecoder(bytes.NewReader(data))
 		out := make([]*spl.Tuple, maxBatchTuples)
+		read := 0
 		for i := 0; i < 8; i++ {
-			n, first, err := dec.decodeFrame(out)
-			if err != nil {
+			n, ok := decodeSplit(t, dec, out)
+			if !ok {
 				return // fail closed: no tuples escaped this frame
 			}
 			if n < 1 || n > maxBatchTuples {
-				t.Fatalf("decodeFrame returned count %d without error", n)
-			}
-			if n > 1 && first == 0 {
-				t.Fatalf("batch of %d tuples with zero base sequence", n)
+				t.Fatalf("frame of %d tuples passed validation", n)
 			}
 			content := 0
 			for j := 0; j < n; j++ {
-				if out[j] == nil {
-					t.Fatalf("nil tuple %d of %d without error", j, n)
-				}
 				content += len(out[j].Text) + len(out[j].Payload)
 			}
-			if content > dec.lastFrameBytes() {
-				t.Fatalf("frame of %d wire bytes decoded %d content bytes",
-					dec.lastFrameBytes(), content)
-			}
-			if dec.bytesRead() > uint64(len(data)) {
-				t.Fatalf("decoder claims %d bytes read from %d input bytes",
-					dec.bytesRead(), len(data))
+			// The reader has consumed this frame's body and every earlier
+			// frame: content can come from nowhere else.
+			read += batchHeaderBytes + n*batchRecordFixed + content
+			if read > len(data) {
+				t.Fatalf("%d frames decoded %d wire bytes of content from %d input bytes", i+1, read, len(data))
 			}
 			releaseAll(out[:n])
 		}

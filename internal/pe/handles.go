@@ -58,9 +58,10 @@ func (e *Export) SeedSequence(n uint64) { e.x.seedSequence(n) }
 // non-empty addr enables redial-and-resume after a lost connection.
 func (e *Export) Connect(conn net.Conn, addr string) error { return e.x.connect(conn, addr) }
 
-// Freeze parks the stream: the writer stops staging frames and producers
-// blocked on a full staging ring wait for the thaw instead of timing out
-// into the drop counter. Staged tuples are retained. Idempotent.
+// Freeze parks the stream: the writer writes what was appended, then
+// stops, and producers that find the budget spent wait for the thaw instead
+// of timing out into the drop counter. Appended tuples are retained.
+// Idempotent.
 func (e *Export) Freeze() { e.x.freeze() }
 
 // Unfreeze releases a frozen stream. Idempotent.
@@ -74,23 +75,25 @@ func (e *Export) Frozen() bool { return e.x.frozen.Load() }
 // the new peer has not seen.
 func (e *Export) Reroute(addr string) { e.x.reroute(addr) }
 
-// SeqHigh returns the highest wire sequence staged so far.
+// SeqHigh returns the highest wire sequence appended so far.
 func (e *Export) SeqHigh() uint64 { return e.x.seqHigh.Load() }
 
 // Acked returns the receiver's acknowledged wire-sequence watermark.
 func (e *Export) Acked() uint64 { return e.x.acked.Load() }
 
-// StagedDepth returns the staging ring's instantaneous depth.
+// StagedDepth returns what the edge holds but has not handed on: bytes
+// appended but not yet written (open frame included) on a wire edge, tuples
+// in the ring on a local one.
 func (e *Export) StagedDepth() int { return e.x.StagedDepth() }
 
 // RetransTuples returns the tuples rewritten by resume handshakes — the
 // replay traffic a migration (or reconnect) caused.
 func (e *Export) RetransTuples() uint64 { return e.x.retransT.Load() }
 
-// Sent returns the tuples staged (assigned a wire sequence).
+// Sent returns the tuples appended (assigned a wire sequence).
 func (e *Export) Sent() uint64 { return e.x.Sent() }
 
-// Dropped returns the tuples the export never staged.
+// Dropped returns the tuples the export never took.
 func (e *Export) Dropped() uint64 { return e.x.Dropped() }
 
 // Connected reports whether the stream currently has a live connection.
@@ -140,7 +143,7 @@ func (im *Import) Close() { im.s.close() }
 
 // FreezeStream freezes the named stream's export end across the job — the
 // per-edge counterpart of DrainAndStop's whole-job quiescence. Tuples
-// already staged are retained; producers park instead of dropping.
+// already appended are retained; producers park instead of dropping.
 func (j *Job) FreezeStream(stream int) error {
 	e, err := j.exportFor(stream)
 	if err != nil {

@@ -47,9 +47,9 @@ func (p *engineProbe) check(now time.Time) (bool, string) {
 }
 
 // exportProbe detects a sick stream: the export is between connections
-// (redialing a dead peer) or its writer has frames staged but has made no
-// progress for a stall interval (peer accepting but not reading, or an
-// injected writer stall).
+// (redialing a dead peer) or it holds appended bytes its writer has not
+// written and has made no progress for a stall interval (peer accepting but
+// not reading, or an injected writer stall).
 type exportProbe struct {
 	exp        *exportOp
 	stallAfter time.Duration
@@ -59,10 +59,10 @@ func (p *exportProbe) check(now time.Time) (bool, string) {
 	if !p.exp.Connected() {
 		return false, "stream disconnected"
 	}
-	if p.exp.StagedDepth() > 0 {
+	if staged := p.exp.StagedDepth(); staged > 0 {
 		if stall := now.Sub(p.exp.LastProgress()); stall >= p.stallAfter {
-			return false, fmt.Sprintf("writer stalled for %v with frames staged",
-				stall.Round(time.Millisecond))
+			return false, fmt.Sprintf("writer stalled for %v with %d bytes staged",
+				stall.Round(time.Millisecond), staged)
 		}
 	}
 	return true, ""

@@ -310,8 +310,8 @@ func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
 }
 
 // wireLocalStream attaches both halves of an in-process edge: the export
-// stages pooled clones into its ring exactly as for a TCP stream, and the
-// peer import pops the ring directly. Wire-fault injection points (conn
+// pushes pooled clones into a tuple ring, and the peer import pops the ring
+// directly. Wire-fault injection points (conn
 // kill, frame corrupt, writer stall) live on the TCP path only, so
 // opts.Fault is deliberately not attached; operator-level faults in the
 // surrounding PEs are unaffected.

@@ -10,7 +10,7 @@ import (
 	"streamelastic/internal/obs"
 )
 
-// batchSnapshot bridges the writer's drain batch-size histogram into the
+// batchSnapshot bridges the tuples-per-sealed-frame histogram into the
 // registry's snapshot shape. The sum is approximated by each bucket's
 // midpoint (the histogram keeps no exact sum), which is accurate enough for
 // a mean batch size.
@@ -35,17 +35,17 @@ func (x *exportOp) batchSnapshot() obs.HistSnapshot {
 func registerExportMetrics(r *obs.Registry, exp *exportOp, stream int, peer string) {
 	l := []obs.Label{{Key: "stream", Value: strconv.Itoa(stream)}, {Key: "dir", Value: "export"}, {Key: "peer", Value: peer}}
 	r.SetCounterFunc(obs.MetricTransportTuples, "Tuples carried by the stream endpoint.", exp.Sent, l...)
-	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames staged (one per batch).", exp.WireFrames, l...)
+	r.SetCounterFunc(obs.MetricTransportFrames, "Wire frames sealed (one per batch).", exp.WireFrames, l...)
 	r.SetCounterFunc(obs.MetricTransportBytes, "Wire bytes through the stream endpoint.", exp.BytesSent, l...)
-	r.SetCounterFunc(obs.MetricTransportDropped, "Tuples the export could not stage.", exp.Dropped, l...)
+	r.SetCounterFunc(obs.MetricTransportDropped, "Tuples the export could not take.", exp.Dropped, l...)
 	r.SetCounterFunc(obs.MetricTransportFlushes, "Explicit writer flush syscalls.", exp.Flushes, l...)
 	r.SetCounterFunc(obs.MetricTransportRetransmits, "Frame writes beyond the first (resume traffic).", exp.Retransmits, l...)
 	r.SetCounterFunc(obs.MetricTransportReconnects, "Successful re-attaches after a lost connection.", exp.Reconnects, l...)
-	r.SetGaugeFunc(obs.MetricTransportUnacked, "Staged frames never acknowledged, set at close.",
+	r.SetGaugeFunc(obs.MetricTransportUnacked, "Appended tuples never acknowledged, set at close.",
 		func() float64 { return float64(exp.Unacked()) }, l...)
 	r.SetGaugeFunc(obs.MetricTransportUnackedBytes, "Block memory the export's log holds for replay (the retransmit window in bytes).",
 		func() float64 { return float64(exp.UnackedBytes()) }, l...)
-	r.SetHistogramFunc(obs.MetricTransportDrainSize, "Staging-ring drain sizes (tuples per writer drain).",
+	r.SetHistogramFunc(obs.MetricTransportDrainSize, "Tuples per sealed wire frame (per ring pop on a local edge).",
 		exp.batchSnapshot, l...)
 }
 

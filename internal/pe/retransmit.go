@@ -47,17 +47,21 @@ type logBlock struct {
 	last  uint64
 }
 
-// blockLog is the export writer's write buffer and retransmit window in one:
-// an append-only log of encoded frames held in 64 KiB blocks. The writer
-// marshals each frame straight into the open block, writes to the socket
+// blockLog is the export's write buffer and retransmit window in one: an
+// append-only log of encoded frames held in 64 KiB blocks. Producers seal
+// each frame straight into the open block, the writer writes to the socket
 // from block memory, and a block returns to the free list once the acked
 // watermark passes its last sequence — so the memory retained follows the
 // un-acked window, and the window is bounded in bytes of block memory, not in
 // frames. Frames never span blocks; a frame larger than a block gets a
 // dedicated one that is left to the garbage collector on release.
 //
-// Only the writer goroutine touches the log. The free list is a plain capped
-// stack rather than a sync.Pool, which a GC cycle would empty under load.
+// The export's append lock guards the log. The writer alone gathers and
+// writes, and its socket write runs outside the lock: gather pins the blocks
+// it hands out until wrote, so a producer that releases acknowledged blocks
+// meanwhile never frees memory under an in-flight write. The free list is a
+// plain capped stack rather than a sync.Pool, which a GC cycle would empty
+// under load.
 type blockLog struct {
 	budget   int         // bound on retained plus free-listed block memory
 	blocks   []*logBlock // live blocks, oldest first; the last one is open
@@ -66,13 +70,14 @@ type blockLog struct {
 	retained int         // block memory held by live blocks
 
 	// appended and written are running byte totals; the bytes between them
-	// are staged but not yet handed to the socket in this connection epoch.
+	// are sealed but not yet handed to the socket in this connection epoch.
 	// wIdx/wOff locate written inside blocks.
 	appended uint64
 	written  uint64
 	wIdx     int
 	wOff     int
-	iov      [][]byte    // flush's gather scratch
+	pinned   bool        // a gathered write is in flight from wIdx/wOff on
+	iov      [][]byte    // gather's scratch
 	bufs     net.Buffers // the header over iov a vectored write consumes
 }
 
@@ -97,11 +102,15 @@ func (l *blockLog) full(n int, acked uint64) bool {
 
 // release returns every block whose sequences the acked watermark covers to
 // the free list (dedicated oversize blocks, and pooled ones the budget has no
-// room to keep, go to the garbage collector).
+// room to keep, go to the garbage collector), stopping at a block an
+// in-flight write still reads.
 func (l *blockLog) release(acked uint64) {
 	n := 0
 	for n < len(l.blocks) && l.blocks[n].last <= acked {
 		b := l.blocks[n]
+		if l.pinned && n >= l.wIdx && (n > l.wIdx || l.wOff < len(b.buf)) {
+			break
+		}
 		l.retained -= cap(b.buf)
 		if n == l.wIdx {
 			// Acknowledged without this epoch having written all of it (a
@@ -156,21 +165,31 @@ func (l *blockLog) stamp(b *logBlock, grew int, first, last uint64) {
 
 // appendBatch marshals ts as one v2 batch frame of body bytes covering wire
 // sequences first..first+len(ts)-1. The caller has checked full and sized
-// the chunk (see appendBatchFrame).
+// the batch (see appendBatchFrame).
 func (l *blockLog) appendBatch(first uint64, ts []*spl.Tuple, body int) {
 	b := l.open(4 + body)
 	b.buf = appendBatchFrame(b.buf, first, ts, body)
 	l.stamp(b, 4+body, first, first+uint64(len(ts))-1)
 }
 
-// buffered returns the staged bytes not yet handed to the socket.
+// appendFrame seals count records as one v2 batch frame from its encoded
+// parts: the records back to back in recs, their zigzag-varint lengths in
+// lens. The caller has checked full.
+func (l *blockLog) appendFrame(first uint64, count int, lens, recs []byte) {
+	body := batchHeaderBytes + len(lens) + len(recs)
+	b := l.open(4 + body)
+	b.buf = appendBatchHeader(b.buf, body, first, count)
+	b.buf = append(append(b.buf, lens...), recs...)
+	l.stamp(b, 4+body, first, first+uint64(count)-1)
+}
+
+// buffered returns the sealed bytes not yet handed to the socket.
 func (l *blockLog) buffered() int { return int(l.appended - l.written) }
 
-// flush writes the staged bytes up to the running total upTo (l.appended for
-// everything) to w straight from block memory and returns the bytes written.
-// A range that spans blocks goes out as one vectored write where w supports
-// it (a TCP connection does), so a flush stays one syscall.
-func (l *blockLog) flush(w io.Writer, upTo uint64) (int, error) {
+// gather returns the unsent bytes up to the running total upTo (appended
+// for everything) as slices of block memory, and pins their blocks until
+// wrote records the write.
+func (l *blockLog) gather(upTo uint64) [][]byte {
 	l.iov = l.iov[:0]
 	idx, off := l.wIdx, l.wOff
 	for pos := l.written; pos < upTo; idx, off = idx+1, 0 {
@@ -183,24 +202,30 @@ func (l *blockLog) flush(w io.Writer, upTo uint64) (int, error) {
 			pos += uint64(len(chunk))
 		}
 	}
-	var n int64
-	var err error
-	switch len(l.iov) {
-	case 0:
-		return 0, nil
-	case 1:
-		var m int
-		m, err = w.Write(l.iov[0])
-		n = int64(m)
-	default:
-		// WriteTo consumes the slice it is called on: hand it a copy of the
-		// header, so the scratch keeps its capacity.
-		l.bufs = l.iov
-		n, err = l.bufs.WriteTo(w)
+	l.pinned = len(l.iov) > 0
+	return l.iov
+}
+
+// write hands gathered bytes to w and returns how many it took. A range
+// that spans blocks goes out as one vectored write where w supports it (a
+// TCP connection does), so a flush stays one syscall. It touches no log
+// state but the writer's own scratch, so it runs without the lock.
+func (l *blockLog) write(w io.Writer, iov [][]byte) (int, error) {
+	if len(iov) == 1 {
+		return w.Write(iov[0])
 	}
-	// Step the cursor over what was written (all of it unless err != nil).
+	// WriteTo consumes the slice it is called on: hand it a copy of the
+	// header, so the scratch keeps its capacity.
+	l.bufs = iov
+	n, err := l.bufs.WriteTo(w)
+	return int(n), err
+}
+
+// wrote steps the written cursor over the n bytes a write took (all of the
+// gathered ones unless it failed) and unpins.
+func (l *blockLog) wrote(n int) {
 	l.written += uint64(n)
-	for left := int(n); left > 0; {
+	for left := n; left > 0; {
 		if room := len(l.blocks[l.wIdx].buf) - l.wOff; left > room {
 			left -= room
 			l.wIdx, l.wOff = l.wIdx+1, 0
@@ -209,17 +234,7 @@ func (l *blockLog) flush(w io.Writer, upTo uint64) (int, error) {
 			left = 0
 		}
 	}
-	return int(n), err
-}
-
-// skip advances the written cursor to the end of the log without sending:
-// the frames in between stay in the window and ride it to the next
-// connection epoch (the FrameCorrupt chaos hook withholds a frame this way).
-func (l *blockLog) skip() {
-	l.written = l.appended
-	if n := len(l.blocks); n > 0 {
-		l.wIdx, l.wOff = n-1, len(l.blocks[n-1].buf)
-	}
+	l.pinned = false
 }
 
 // frameSpan decodes the header of the batch frame at the start of b: its
@@ -240,7 +255,10 @@ func frameSpan(b []byte) (size int, first, last uint64) {
 // returns the frame and tuple counts the flush will carry (tuples counted
 // past resume only).
 func (l *blockLog) resumeFrom(resume uint64) (frames int, tuples uint64, err error) {
-	l.skip()
+	l.written = l.appended // nothing to re-send unless the walk finds it
+	if n := len(l.blocks); n > 0 {
+		l.wIdx, l.wOff = n-1, len(l.blocks[n-1].buf)
+	}
 	expect := resume + 1
 	pos := l.appended // running byte total at the start of the frame under the walk
 	for _, b := range l.blocks {

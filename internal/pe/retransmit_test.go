@@ -60,6 +60,29 @@ func decodeWire(t *testing.T, wire []byte) []wireFrame {
 	}
 }
 
+// flush writes the log's unsent bytes up to upTo to w the way the export's
+// writer does — gather, write, step the cursor — and returns the bytes
+// written.
+func (l *blockLog) flush(w io.Writer, upTo uint64) (int, error) {
+	iov := l.gather(upTo)
+	if len(iov) == 0 {
+		return 0, nil
+	}
+	n, err := l.write(w, iov)
+	l.wrote(n)
+	return n, err
+}
+
+// skip advances the written cursor to the end of the log without sending:
+// the frames in between stay in the window and ride it to the next
+// connection epoch.
+func (l *blockLog) skip() {
+	l.written = l.appended
+	if n := len(l.blocks); n > 0 {
+		l.wIdx, l.wOff = n-1, len(l.blocks[n-1].buf)
+	}
+}
+
 func flushAll(t *testing.T, l *blockLog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -362,10 +385,10 @@ func TestBlockLogSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockLogWithheldFrame is the FrameCorrupt hook's use of the log: the
-// writer flushes up to the start of the just-staged frame, steps the written
-// cursor over it, and the frame — never sent in this epoch — goes out with
-// the next epoch's resume.
+// TestBlockLogWithheldFrame: a frame the writer withholds — flushing up to
+// its start, as the FrameCorrupt hook does before poisoning the wire, then
+// stepping over it — stays in the log and goes out with the next epoch's
+// resume.
 func TestBlockLogWithheldFrame(t *testing.T) {
 	l := newBlockLog(1 << 20)
 	// ~40 KiB frames, so the flushed range spans blocks.

@@ -7,24 +7,17 @@ import (
 )
 
 // TransportConfig tunes the inter-PE stream transport. The zero value means
-// defaults throughout, so existing callers keep their behaviour.
+// defaults throughout, so existing callers keep their behaviour. There is
+// no flush policy to tune: the writer writes whatever producers have sealed
+// each time it runs, so frames per write follow the load and an idle
+// stream never holds a tuple back.
 type TransportConfig struct {
-	// RingCapacity is the staging ring between the PE's scheduler threads
-	// and the stream's writer goroutine, rounded up to a power of two
-	// (default 1024 tuples).
-	RingCapacity int
-	// FlushBytes flushes the wire buffer once this many encoded bytes are
-	// pending (default 32 KiB), amortizing one syscall over many frames.
-	FlushBytes int
-	// MaxFlushDelay bounds how long an encoded frame may wait unflushed
-	// while the stream stays busy (default 1ms). An idle stream flushes
-	// immediately, so the delay only applies under a sustained trickle.
-	MaxFlushDelay time.Duration
-	// DropOnFull makes the export drop (and count) tuples when the staging
-	// ring is full instead of applying backpressure — latency over
-	// completeness. The default is bounded blocking: a full ring blocks the
-	// producing scheduler thread up to BlockTimeout, matching the natural
-	// backpressure of the old write-per-tuple path, then drops.
+	// DropOnFull makes the export drop (and count) tuples when the edge is
+	// full — the block log's budget spent, or 1 MiB of sealed frames waiting
+	// for the socket — instead of applying backpressure: latency over
+	// completeness. The default is bounded
+	// blocking: a full edge blocks the producing scheduler thread up to
+	// BlockTimeout, then drops.
 	DropOnFull bool
 	// BlockTimeout bounds a blocked export when DropOnFull is unset
 	// (default 1s); on expiry the tuple is dropped and counted.
@@ -34,7 +27,7 @@ type TransportConfig struct {
 	// them (default 1 MiB, four acknowledgement periods; 128 MiB when Launch
 	// gates acks at the checkpoint floor; at least two 64 KiB blocks). It
 	// bounds both resume traffic after a reconnect and the memory held per
-	// stream, and a spent budget blocks the writer until acknowledgements
+	// stream, and a spent budget blocks producers until acknowledgements
 	// arrive. The ungated default is deliberately small: a sender whose
 	// receiver is the bottleneck fills whatever window it is given, kernel
 	// socket buffers included, so the budget is the edge's standing queue —
@@ -52,9 +45,6 @@ type TransportConfig struct {
 }
 
 const (
-	defaultRingCapacity    = 1024
-	defaultFlushBytes      = 32 << 10
-	defaultMaxFlushDelay   = time.Millisecond
 	defaultBlockTimeout    = time.Second
 	defaultRetransmitBytes = 1 << 20
 	gatedRetransmitBytes   = 128 << 20
@@ -62,24 +52,8 @@ const (
 	defaultReconnectMax    = 500 * time.Millisecond
 )
 
-// withDefaults fills zero fields and rounds the ring capacity up to the
-// power of two the MPMC ring requires.
+// withDefaults fills zero fields.
 func (c TransportConfig) withDefaults() TransportConfig {
-	if c.RingCapacity <= 0 {
-		c.RingCapacity = defaultRingCapacity
-	}
-	if c.RingCapacity < 2 {
-		c.RingCapacity = 2
-	}
-	if c.RingCapacity&(c.RingCapacity-1) != 0 {
-		c.RingCapacity = 1 << bits.Len(uint(c.RingCapacity))
-	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = defaultFlushBytes
-	}
-	if c.MaxFlushDelay <= 0 {
-		c.MaxFlushDelay = defaultMaxFlushDelay
-	}
 	if c.BlockTimeout <= 0 {
 		c.BlockTimeout = defaultBlockTimeout
 	}
@@ -102,11 +76,12 @@ func (c TransportConfig) withDefaults() TransportConfig {
 }
 
 // batchHistBuckets is the number of log2 batch-size buckets: bucket i
-// counts writer drains of [2^i, 2^(i+1)) tuples.
+// counts sealed frames (local-edge pops) of [2^i, 2^(i+1)) tuples.
 const batchHistBuckets = 8
 
-// batchHist is a lock-free histogram of writer drain batch sizes; it shows
-// whether the stream coalesces (high buckets) or runs tuple-at-a-time.
+// batchHist is a lock-free histogram of tuples per sealed frame (per pop on
+// a local edge); it shows whether the stream coalesces (high buckets) or
+// runs tuple-at-a-time.
 type batchHist [batchHistBuckets]atomic.Uint64
 
 func (h *batchHist) record(n int) {
@@ -143,19 +118,17 @@ type StreamStats struct {
 	ToPE   int
 
 	// Local reports the in-process fast path: tuples crossed as direct ring
-	// handoffs, so Sent/Received/Dropped/DrainSizes are live but the
+	// handoffs, so Sent/Received/Dropped/DrainSizes (pop sizes) are live but the
 	// wire-only counters (bytes, frames, flushes, retransmits, reconnects,
 	// dups, resumes) are truthfully zero.
 	Local bool
 
-	// Send side: tuples encoded onto the wire, batch frames staged
+	// Send side: tuples encoded onto the wire, batch frames sealed
 	// (Sent/WireFrames is the batch amortization ratio, WireFrames/Flushes
 	// the frames per flush), tuples dropped (stream not wired, errored, or
-	// staging ring full past the blocking budget), wire bytes written,
-	// explicit flush syscalls, and the writer's staging-ring drain-size
-	// histogram (log2 buckets). DrainSizes counts ring drains, not flushes:
-	// one drain spans several frames only when it overflows maxFrameBytes,
-	// and several drains usually coalesce into one flush.
+	// block log full past the blocking budget), wire bytes written,
+	// explicit flush syscalls, and the histogram of tuples per sealed frame
+	// (log2 buckets). Several frames usually coalesce into one flush.
 	Sent       uint64
 	WireFrames uint64
 	Dropped    uint64

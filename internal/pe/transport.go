@@ -23,22 +23,35 @@ import (
 // waits for all loops to park) is never stalled by a quiet stream.
 const importPollInterval = 20 * time.Millisecond
 
-// importRingCapacity sizes the injection ring between the stream reader
-// goroutine and the import source (a power of two, as the MPMC requires).
-// It is a deliberate network receive buffer, decoupling TCP reads from
-// operator execution.
-const importRingCapacity = 256
+// importRingFrames sizes the frame ring between the stream reader goroutine
+// and the import source (a power of two, as the MPMC requires): validated
+// frames whose tuples the operator thread has not built yet. It is a
+// deliberate network receive buffer, decoupling TCP reads from operator
+// execution.
+const importRingFrames = 8
 
-// importBatchMax bounds how many buffered tuples one Next wake emits, so a
-// single operator-thread wake drains a burst without starving the engine's
-// pause barrier.
-const importBatchMax = 64
+// localRingCapacity sizes an in-process edge's tuple ring (a power of two).
+const localRingCapacity = 1024
 
-// writerBatchTuples is the writer goroutine's per-drain batch: how many
-// staged tuples one ring pop claims.
+// localPopMax bounds how many tuples one Next takes off an in-process edge's
+// ring, so a single operator-thread wake drains a burst without starving the
+// engine's pause barrier.
+const localPopMax = 64
+
+// writerBatchTuples caps the records of one batch frame: the open frame is
+// sealed before it would take one more.
 const writerBatchTuples = 128
 
-// closeFlushTimeout bounds the final drain-and-flush at stream close, so a
+// maxUnwritten bounds how far producers may run ahead of the socket: a
+// producer that must seal while this many sealed bytes wait unwritten takes
+// the full-edge path until the writer catches up. The budget bounds the
+// replay window the log keeps for the receiver; this bounds the standing
+// queue in front of the socket, which under a checkpoint-gated budget would
+// otherwise grow to the whole budget whenever the receiver is the
+// bottleneck.
+const maxUnwritten = 1 << 20
+
+// closeFlushTimeout bounds the final seal-and-flush at stream close, so a
 // stalled peer cannot wedge job shutdown.
 const closeFlushTimeout = 2 * time.Second
 
@@ -77,11 +90,14 @@ var errExportConnLost = errors.New("pe: export connection lost")
 var errExportWindowFull = errors.New("pe: retransmit window full at close")
 
 // exportOp is the terminal operator standing in for a cross-PE stream's
-// sending side. Process stages a pooled clone of each tuple into a
-// lock-free MPMC ring; a dedicated writer goroutine drains the ring in
-// batches, assigns each frame a wire sequence, marshals it into a
-// byte-budgeted block log that holds it until the receiver acknowledges it,
-// and writes the log's unsent tail to the socket by flush policy.
+// sending side. Process and ProcessBatch encode each tuple on the calling
+// engine thread, under the append lock, as the next record of the open batch
+// frame and give it the next wire sequence; a full frame is sealed into a
+// byte-budgeted block log that holds it until the receiver acknowledges it.
+// A dedicated writer goroutine does only byte work: it seals the open frame
+// when it comes round, writes the log's unsent bytes to the socket, applies
+// fault effects, and handles acknowledgements and resume. No pooled tuple
+// crosses from an engine thread to the writer.
 //
 // The writer survives peer death: it redials with capped exponential
 // backoff plus jitter, reads the receiver's resume sequence on every
@@ -94,12 +110,6 @@ type exportOp struct {
 	cfg  TransportConfig
 	addr string // redial address; "" = single-connection mode (tests)
 
-	// seedSeq pre-loads the writer's wire-sequence counter so a replacement
-	// export continues a retired predecessor's sequence domain (region
-	// migration). Written before connect; the writer goroutine reads it once
-	// at startup.
-	seedSeq uint64
-
 	// inj/site are the chaos hook: nil inj means no injection.
 	inj  *fault.Injector
 	site int
@@ -111,11 +121,25 @@ type exportOp struct {
 	mu    sync.Mutex    // guards connect/close transitions and conn epochs
 	conn  net.Conn      // current epoch's connection, for close()
 	thaw  chan struct{} // non-nil exactly while the edge is frozen
-	ring  *queue.MPMC[*spl.Tuple]
 	wake  chan struct{}
 	space chan struct{}
 	quit  chan struct{}
 	done  chan struct{}
+
+	// amu is the append lock. Producers encode under it; the writer takes it
+	// to seal, to snapshot the bytes it writes and to move the write cursor —
+	// never across a socket write. It guards log (nil before connect and once
+	// the writer has settled the books), nextSeq, frame, fx and frozenAt.
+	amu      sync.Mutex
+	log      *blockLog
+	nextSeq  uint64 // wire sequence of the last tuple appended
+	frame    openFrame
+	fx       []frameFx // sealed frames whose fault effects are not applied yet
+	frozenAt uint64    // log position the last freeze sealed up to
+
+	// ring is an in-process edge's handoff (nil on a wire edge): the peer
+	// import pops pooled clones straight off it.
+	ring *queue.MPMC[*spl.Tuple]
 
 	wired     atomic.Bool
 	parked    atomic.Bool
@@ -129,19 +153,41 @@ type exportOp struct {
 	acked  atomic.Uint64 // receiver's acknowledged wire-sequence watermark
 	ackSig chan struct{}
 
-	seqHigh    atomic.Uint64 // highest wire sequence staged (readable snapshot of nextSeq)
+	seqHigh    atomic.Uint64 // highest wire sequence appended (readable snapshot of nextSeq)
 	retransT   atomic.Uint64 // tuples rewritten on resume (replay accounting)
-	sent       atomic.Uint64 // tuples staged (assigned a wire sequence)
-	wireFrames atomic.Uint64 // batch frames staged
-	dropped    atomic.Uint64 // tuples the stream never staged
+	sent       atomic.Uint64 // tuples appended (assigned a wire sequence)
+	wireFrames atomic.Uint64 // batch frames sealed
+	dropped    atomic.Uint64 // tuples the stream never took
 	retrans    atomic.Uint64 // frame writes beyond the first (resume traffic)
 	reconnects atomic.Uint64 // successful re-attaches after a lost connection
 	corrupts   atomic.Uint64 // injected frame corruptions
-	unacked    atomic.Uint64 // staged frames never acknowledged, set at close
+	unacked    atomic.Uint64 // appended tuples never acknowledged, set at close
 	window     atomic.Int64  // block memory the log retains for replay
 	bytes      atomic.Uint64
 	flushes    atomic.Uint64
 	batches    batchHist
+}
+
+// openFrame is the batch frame producers are appending to: its records and
+// their zigzag-varint lengths, encoded as the tuples arrive, and the fault
+// effects its tuples fired. Sealing copies it into the block log.
+type openFrame struct {
+	first uint64 // wire sequence of the first record
+	count int
+	prev  int // length of the last record
+	body  int // batch body bytes the frame seals to
+	lens  []byte
+	recs  []byte
+	fx    frameFx
+}
+
+// frameFx is what the chaos hooks fired on one sealed frame's tuples; the
+// writer applies it when its flush reaches the frame's start, at.
+type frameFx struct {
+	at      uint64
+	kill    bool
+	stall   time.Duration
+	corrupt bool
 }
 
 var (
@@ -157,8 +203,8 @@ func newExportOp(name string) *exportOp {
 func (x *exportOp) Name() string { return x.name }
 
 // RecyclesTuples marks the export as a recyclable sink: Process never
-// retains the tuple it is handed — the staging ring carries a pooled clone
-// — so the engine returns the original to the tuple pool.
+// retains the tuple it is handed — a wire edge encodes it, a local edge
+// hands on a pooled clone — so the engine returns the original to the pool.
 func (x *exportOp) RecyclesTuples() {}
 
 // connect attaches the stream's first connection and starts the writer
@@ -169,48 +215,44 @@ func (x *exportOp) RecyclesTuples() {}
 func (x *exportOp) connect(conn net.Conn, addr string) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	ring, err := queue.NewMPMC[*spl.Tuple](x.cfg.RingCapacity)
-	if err != nil {
-		return fmt.Errorf("pe: export %s staging ring: %w", x.name, err)
-	}
 	x.conn = conn
 	x.addr = addr
-	x.ring = ring
-	x.wake = make(chan struct{}, 1)
-	x.space = make(chan struct{}, 1)
-	x.quit = make(chan struct{})
-	x.done = make(chan struct{})
-	x.ackSig = make(chan struct{}, 1)
-	x.progress.Store(time.Now().UnixNano())
+	x.log = newBlockLog(x.cfg.RetransmitBytes)
+	x.initSignals()
 	go x.writerLoop(conn)
 	x.wired.Store(true)
 	return nil
 }
 
-// connectLocal wires the export as the sending half of an in-process edge:
-// the staging ring is created exactly as for a TCP stream — Process keeps
-// its backpressure, drop accounting, and wake protocol — but no writer
-// goroutine, encoder, or connection exists. The co-located peer import pops
-// the ring directly via localPop, so a tuple crosses the edge as one pooled
-// clone handoff with no encode/frame/TCP/decode in between. The edge is
-// in-process and lossless by construction, so the reliability machinery
-// (retransmit window, acks, resume) is exempt and its counters stay zero.
-func (x *exportOp) connectLocal() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	ring, err := queue.NewMPMC[*spl.Tuple](x.cfg.RingCapacity)
-	if err != nil {
-		return fmt.Errorf("pe: export %s staging ring: %w", x.name, err)
-	}
-	x.ring = ring
+// initSignals makes the endpoint's wake, space, quit, done and ack channels.
+func (x *exportOp) initSignals() {
 	x.wake = make(chan struct{}, 1)
 	x.space = make(chan struct{}, 1)
 	x.quit = make(chan struct{})
-	// No writer goroutine: done starts closed so close() never waits.
 	x.done = make(chan struct{})
-	close(x.done)
 	x.ackSig = make(chan struct{}, 1)
 	x.progress.Store(time.Now().UnixNano())
+}
+
+// connectLocal wires the export as the sending half of an in-process edge:
+// Process pushes pooled clones into a tuple ring — with the wire path's
+// backpressure, drop accounting and wake protocol — but no writer goroutine,
+// encoder, or connection exists. The co-located peer import pops the ring
+// directly via localPop, so a tuple crosses the edge as one pooled clone
+// handoff with no encode/frame/TCP/decode in between. The edge is in-process
+// and lossless by construction, so the reliability machinery (retransmit
+// window, acks, resume) is exempt and its counters stay zero.
+func (x *exportOp) connectLocal() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	ring, err := queue.NewMPMC[*spl.Tuple](localRingCapacity)
+	if err != nil {
+		return fmt.Errorf("pe: export %s local ring: %w", x.name, err)
+	}
+	x.ring = ring
+	x.initSignals()
+	// No writer goroutine: done starts closed so close() never waits.
+	close(x.done)
 	x.local.Store(true)
 	x.connected.Store(true)
 	x.wired.Store(true)
@@ -220,9 +262,9 @@ func (x *exportOp) connectLocal() error {
 // localPop transfers up to len(batch) staged tuples to the co-located peer
 // import, which owns them outright afterwards. Counters mirror the wire
 // path's bookkeeping at the same point in a tuple's life: sent when it
-// leaves the staging ring, a batch-size sample per drain, progress for the
-// watchdog's stall probe — but bytes and flushes stay zero, because no wire
-// was touched and lying about it would poison the obs series.
+// leaves the ring, a batch-size sample per pop, progress for the watchdog's
+// stall probe — but bytes and flushes stay zero, because no wire was touched
+// and lying about it would poison the obs series.
 func (x *exportOp) localPop(batch []*spl.Tuple) int {
 	n := x.ring.TryPopN(batch)
 	if n == 0 {
@@ -241,96 +283,201 @@ func (x *exportOp) localDrained() bool {
 	return x.closed.Load() && x.ring.Len() == 0
 }
 
-// exportStageChunk bounds how many clones ProcessBatch stages per ring push
-// (its scratch lives on the stack).
-const exportStageChunk = 64
-
-// accepting reports whether the stream can stage tuples at all: wired, not
+// accepting reports whether the stream can take tuples at all: wired, not
 // closed, not permanently failed.
 func (x *exportOp) accepting() bool {
 	return x.wired.Load() && !x.closed.Load() && !x.failed.Load()
 }
 
-// Process stages the tuple for the writer goroutine. Tuples arriving before
-// the stream is wired, after close, or after a permanent failure are
-// counted as dropped; a full staging ring blocks the producing scheduler
-// thread for a bounded time (the default, preserving the backpressure of
-// the old write-per-tuple path) or drops immediately when DropOnFull is
-// configured.
+// Process sends one tuple; it is ProcessBatch of one.
 func (x *exportOp) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
-	if !x.accepting() {
-		x.dropped.Add(1)
-		return
-	}
-	if s, ok := x.ring.TryReservePush(); ok {
-		s.Commit(t.Clone())
-		x.wakeWriter()
-		return
-	}
-	x.stageSlow(t, nil)
+	one := [1]*spl.Tuple{t}
+	x.ProcessBatch(0, one[:], nil)
 }
 
-// ProcessBatch stages a compiled region's whole terminal batch: the clones
-// land in the ring with one reservation and one writer wake per push. When
-// the ring is full the next tuple takes Process's blocking/drop path (one
-// wait for space, not one per tuple) and the push resumes behind it, so
-// order, counters and backpressure are those of per-tuple staging.
+// ProcessBatch encodes a batch into the open frame under one append lock
+// and wakes a parked writer once at the end. Tuples arriving before the
+// stream is wired, after close, or after a permanent failure are counted as
+// dropped. A tuple that finds the block log's budget spent takes stageSlow:
+// it drops at once under DropOnFull, else blocks the producing scheduler
+// thread up to BlockTimeout, and the rest of the batch follows behind it, so
+// order, counters and backpressure are those of per-tuple Process calls.
 func (x *exportOp) ProcessBatch(_ int, ts []*spl.Tuple, _ spl.Emitter) {
 	if !x.accepting() {
 		x.dropped.Add(uint64(len(ts)))
 		return
 	}
-	var clones [exportStageChunk]*spl.Tuple
-	for len(ts) > 0 {
-		n := min(len(ts), len(clones))
-		for i := 0; i < n; i++ {
-			clones[i] = ts[i].Clone()
+	if x.ring != nil {
+		x.stageLocal(ts)
+		return
+	}
+	x.amu.Lock()
+	for _, t := range ts {
+		if x.appendLocked(t) {
+			continue
 		}
-		for off := 0; off < n; {
-			if pushed := x.ring.TryPushN(clones[off:n]); pushed > 0 {
-				x.wakeWriter()
-				off += pushed
-				continue
+		x.publishLocked()
+		x.amu.Unlock()
+		if !x.stageSlow(func() bool { return x.appendOne(t) }) {
+			x.dropped.Add(1)
+		}
+		x.amu.Lock()
+	}
+	x.publishLocked()
+	x.amu.Unlock()
+	x.wakeWriter()
+}
+
+// appendOne is appendLocked for one tuple under its own lock hold.
+func (x *exportOp) appendOne(t *spl.Tuple) bool {
+	x.amu.Lock()
+	defer x.amu.Unlock()
+	ok := x.appendLocked(t)
+	x.publishLocked()
+	return ok
+}
+
+// appendLocked encodes t as the open frame's next record and gives it the
+// next wire sequence, sealing the frame first when t would overflow it
+// (writerBatchTuples records or batchTargetBytes of body). A tuple too large
+// to share a frame is sealed alone into a dedicated block, and one too large
+// to frame at all is dropped and counted. It reports false — t not taken —
+// when a seal needs block memory the budget has none of, or would put more
+// than maxUnwritten bytes in front of the socket. The chaos hooks
+// fire per appended tuple, in append order, so a fault plan's Nth event lands
+// on the same tuple however the stream is framed. Callers hold amu.
+func (x *exportOp) appendLocked(t *spl.Tuple) bool {
+	if x.log == nil {
+		x.dropped.Add(1) // the writer has settled the books
+		return true
+	}
+	f := &x.frame
+	if f.count == writerBatchTuples || (f.count > 0 && f.body+batchFrameAdd(t, f.prev) > batchTargetBytes) {
+		if x.log.buffered() >= maxUnwritten || !x.sealLocked() {
+			return false
+		}
+	}
+	if f.count == 0 {
+		body := batchHeaderBytes + batchFrameAdd(t, 0)
+		if body > maxFrameBytes {
+			x.dropped.Add(1)
+			return true
+		}
+		if body > batchTargetBytes {
+			if x.log.buffered() >= maxUnwritten || x.log.full(4+body, x.acked.Load()) {
+				return false
 			}
-			x.stageSlow(ts[off], clones[off])
-			off++
+			fx := frameFx{at: x.log.appended}
+			if x.inj != nil {
+				x.fire(&fx)
+			}
+			x.nextSeq++
+			one := [1]*spl.Tuple{t}
+			x.log.appendBatch(x.nextSeq, one[:], body)
+			x.sealed(1, fx)
+			return true
 		}
-		ts = ts[n:]
+		f.first, f.prev, f.body = x.nextSeq+1, 0, batchHeaderBytes
+	}
+	rec := batchRecordBytes(t)
+	n := len(f.lens)
+	f.lens = binary.AppendUvarint(f.lens, zigzag(int64(rec-f.prev)))
+	f.recs = appendRecord(f.recs, t)
+	f.body += len(f.lens) - n + rec
+	f.prev = rec
+	f.count++
+	x.nextSeq++
+	if x.inj != nil {
+		x.fire(&f.fx)
+	}
+	return true
+}
+
+// sealLocked moves the open frame into the block log as one v2 batch frame.
+// It reports false, leaving the frame open, when the log has no block
+// memory for it. Callers hold amu.
+func (x *exportOp) sealLocked() bool {
+	f := &x.frame
+	if f.count == 0 {
+		return true
+	}
+	if x.log.full(4+f.body, x.acked.Load()) {
+		return false
+	}
+	f.fx.at = x.log.appended
+	x.log.appendFrame(f.first, f.count, f.lens, f.recs)
+	x.sealed(f.count, f.fx)
+	*f = openFrame{lens: f.lens[:0], recs: f.recs[:0]}
+	return true
+}
+
+// sealed books a frame of n tuples just sealed at fx.at: the frame and
+// batch-size counters, the window gauge, and — when the hooks armed any —
+// its fault effects for the writer. Callers hold amu.
+func (x *exportOp) sealed(n int, fx frameFx) {
+	x.wireFrames.Add(1)
+	x.batches.record(n)
+	x.window.Store(int64(x.log.retained))
+	if x.inj != nil {
+		x.fx = append(x.fx, fx)
 	}
 }
 
-// stageSlow is the full-ring path: drop at once under DropOnFull, else park
-// on the writer's space signal up to BlockTimeout. clone, when non-nil, is
-// t's already-made pooled clone (released if the tuple ends up dropped).
-func (x *exportOp) stageSlow(t, clone *spl.Tuple) {
-	drop := func() {
-		x.dropped.Add(1)
-		if clone != nil {
-			clone.Release()
+// fire ranks one appended tuple's chaos events — kill, stall, corrupt, in
+// that order — into the effects of the frame holding it.
+func (x *exportOp) fire(fx *frameFx) {
+	if x.inj.Fire(fault.ConnKill, x.site) {
+		fx.kill = true
+	}
+	fx.stall += x.inj.FireDelay(fault.WriterStall, x.site)
+	if x.inj.Fire(fault.FrameCorrupt, x.site) {
+		x.corrupts.Add(1)
+		fx.corrupt = true
+	}
+}
+
+// publishLocked makes the tuples appended since the last call visible to
+// the sent counter and the seqHigh snapshot. Callers hold amu.
+func (x *exportOp) publishLocked() {
+	if d := x.nextSeq - x.seqHigh.Load(); d != 0 {
+		x.sent.Add(d)
+		x.seqHigh.Store(x.nextSeq)
+	}
+}
+
+// stageLocal hands pooled clones of ts to the co-located import through the
+// tuple ring, with the wire path's backpressure and drop accounting.
+func (x *exportOp) stageLocal(ts []*spl.Tuple) {
+	for _, t := range ts {
+		c := t.Clone()
+		if !x.ring.TryPush(c) && !x.stageSlow(func() bool { return x.ring.TryPush(c) }) {
+			c.Release()
+			x.dropped.Add(1)
 		}
 	}
+	x.wakeWriter()
+}
+
+// stageSlow is the full-edge path: give up at once under DropOnFull, else
+// retry try on every space signal up to BlockTimeout. A frozen edge parks
+// the producer instead, with the timeout suspended until the thaw; close or
+// a permanent failure gives up. It reports whether try took the tuple.
+func (x *exportOp) stageSlow(try func() bool) bool {
 	if x.cfg.DropOnFull {
-		drop()
-		return
+		return false
 	}
-	// Park on the writer's space signal rather than spinning: a yield
-	// loop on a saturated box burns the producing core in scheduler
-	// churn and starves the very goroutine that must free ring slots.
+	// Park on the space signal rather than spinning: a yield loop on a
+	// saturated box burns the producing core in scheduler churn and starves
+	// the very goroutine that must free space.
 	timer := time.NewTimer(x.cfg.BlockTimeout)
 	defer timer.Stop()
 	for !x.closed.Load() && !x.failed.Load() {
-		if s, ok := x.ring.TryReservePush(); ok {
-			if clone == nil {
-				clone = t.Clone()
-			}
-			s.Commit(clone)
-			x.wakeWriter()
-			return
+		if try() {
+			x.signalSpace() // there may be room for the next parked producer too
+			return true
 		}
+		x.wakeWriter()
 		if th := x.frozenThaw(); th != nil {
-			// A frozen edge parks the producer instead of dropping: the
-			// block timeout is suspended for the freeze's duration and
-			// restarts from zero at thaw.
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -348,28 +495,36 @@ func (x *exportOp) stageSlow(t, clone *spl.Tuple) {
 		case <-x.space:
 		case <-x.quit:
 		case <-timer.C:
-			drop()
-			return
+			return false
 		}
 	}
-	drop()
+	x.signalSpace() // pass the end of the stream on to the next parked producer
+	return false
 }
 
-// freeze parks the stream: the writer goroutine stops staging frames (it
-// flushes what is buffered, then waits) and producers blocked on a full
-// staging ring wait for the thaw instead of timing out into the drop
-// counter. Staged tuples stay in the ring; nothing is lost. Idempotent.
+// freeze parks the stream: the open frame is sealed, the writer writes the
+// log up to that point and stops, and producers go on appending until the
+// budget is spent, then wait for the thaw instead of timing out into the
+// drop counter. Appended tuples stay in the log; nothing is lost.
+// Idempotent.
 func (x *exportOp) freeze() {
 	x.mu.Lock()
 	if x.thaw == nil {
 		x.thaw = make(chan struct{})
+		x.amu.Lock()
+		if x.log != nil {
+			x.sealLocked()
+			x.frozenAt = x.log.appended
+		}
+		x.amu.Unlock()
 		x.frozen.Store(true)
 	}
 	x.mu.Unlock()
+	x.wakeWriter()
 }
 
-// unfreeze releases a frozen stream: the writer resumes draining the staging
-// ring and blocked producers retry their pushes. Idempotent.
+// unfreeze releases a frozen stream: the writer resumes writing and blocked
+// producers retry. Idempotent.
 func (x *exportOp) unfreeze() {
 	x.mu.Lock()
 	th := x.thaw
@@ -402,7 +557,7 @@ func (x *exportOp) frozenThaw() chan struct{} {
 // before connect. The acked watermark seeds too: sequences at or below the
 // seed were acknowledged to the predecessor.
 func (x *exportOp) seedSequence(n uint64) {
-	x.seedSeq = n
+	x.nextSeq = n
 	x.seqHigh.Store(n)
 	storeMax(&x.acked, n)
 }
@@ -427,8 +582,9 @@ func (x *exportOp) currentAddr() string {
 	return x.addr
 }
 
-// wakeWriter nudges a parked writer. The writer re-checks the ring after
-// setting parked, so a push that misses the flag is still observed.
+// wakeWriter nudges a parked writer (or, on a local edge, a parked peer
+// import). The writer re-checks for work after setting parked, so an append
+// that misses the flag is still observed.
 func (x *exportOp) wakeWriter() {
 	if x.parked.Load() {
 		select {
@@ -438,7 +594,7 @@ func (x *exportOp) wakeWriter() {
 	}
 }
 
-// signalSpace tells one producer blocked on a full ring that slots freed.
+// signalSpace tells one producer blocked on a full edge to retry.
 func (x *exportOp) signalSpace() {
 	select {
 	case x.space <- struct{}{}:
@@ -454,18 +610,6 @@ func (x *exportOp) setConn(conn net.Conn) {
 	x.mu.Unlock()
 }
 
-// writerState is the writer goroutine's cross-epoch state: the block log
-// (write buffer and retransmit window), the next wire sequence, and tuples
-// popped from the staging ring but not yet staged when an epoch died.
-type writerState struct {
-	log     *blockLog
-	nextSeq uint64
-	batch   []*spl.Tuple
-	pending []*spl.Tuple
-	pHead   int
-	closing bool
-}
-
 // connSession is one connection epoch: its socket and the ack-reader
 // goroutine draining the receiver's acknowledgement back-channel.
 type connSession struct {
@@ -479,23 +623,18 @@ func (s *connSession) teardown() {
 }
 
 // writerLoop runs connection epochs until close: attach (handshake +
-// resume), drain the staging ring onto the wire, and on a lost connection
-// redial and resume. Without a redial address a lost connection fails the
-// stream permanently and staged traffic drops-and-counts, preserving
-// counter convergence for single-connection users.
+// resume), write what producers append, and on a lost connection redial and
+// resume. Without a redial address a lost connection fails the stream
+// permanently and later tuples drop-and-count, preserving counter
+// convergence for single-connection users.
 func (x *exportOp) writerLoop(first net.Conn) {
 	defer close(x.done)
-	st := &writerState{
-		log:     newBlockLog(x.cfg.RetransmitBytes),
-		nextSeq: x.seedSeq,
-		batch:   make([]*spl.Tuple, writerBatchTuples),
-	}
 	conn := first
 	for {
-		sess, err := x.attach(conn, st)
+		sess, err := x.attach(conn)
 		if err == nil {
 			x.connected.Store(true)
-			x.runConn(sess, st)
+			x.runConn(sess)
 			x.connected.Store(false)
 			sess.teardown()
 		} else if sess != nil {
@@ -504,19 +643,18 @@ func (x *exportOp) writerLoop(first net.Conn) {
 			_ = conn.Close()
 		}
 		if x.closed.Load() {
-			x.finish(st)
+			x.finish()
 			return
 		}
 		if x.currentAddr() == "" {
 			x.failed.Store(true)
-			x.dropPending(st)
-			x.drainUntilQuit(st)
-			x.finish(st)
+			x.finish()
+			x.signalSpace() // parked producers see the failure
 			return
 		}
 		next := x.redial()
 		if next == nil {
-			x.finish(st)
+			x.finish()
 			return
 		}
 		x.reconnects.Add(1)
@@ -528,11 +666,11 @@ func (x *exportOp) writerLoop(first net.Conn) {
 
 // attach performs the resume handshake on a fresh connection: read the
 // receiver's delivered watermark (bounded by handshakeTimeout), start the
-// ack reader, and retransmit every staged frame past the watermark.
+// ack reader, and retransmit every sealed frame past the watermark.
 // Retransmit granularity is the frame: a batch frame only partially past the
 // watermark is rewritten whole and the importer's sequence dedup drops the
 // overlap.
-func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) {
+func (x *exportOp) attach(conn net.Conn) (*connSession, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var hb [8]byte
 	if _, err := io.ReadFull(conn, hb[:]); err != nil {
@@ -540,14 +678,16 @@ func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) 
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	resume := binary.LittleEndian.Uint64(hb[:])
-	if resume > st.nextSeq {
-		// A sane receiver cannot have seen frames that were never staged.
-		resume = st.nextSeq
+	x.amu.Lock()
+	if resume > x.nextSeq {
+		// A sane receiver cannot have seen tuples that were never appended.
+		resume = x.nextSeq
 	}
+	frames, tuples, err := x.log.resumeFrom(resume)
+	x.amu.Unlock()
 	storeMax(&x.acked, resume)
 	sess := &connSession{conn: conn, ackDone: make(chan struct{})}
 	go x.ackReader(conn, sess.ackDone)
-	frames, tuples, err := st.log.resumeFrom(resume)
 	x.retrans.Add(uint64(frames))
 	x.retransT.Add(tuples)
 	if err != nil {
@@ -557,7 +697,7 @@ func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) 
 		// One event per resume burst (tuple count), not per frame.
 		x.rec.Record(obs.EvRetransmit, x.recPE, int64(x.site), int64(tuples), "")
 	}
-	if err := x.flushSess(sess, st); err != nil {
+	if err := x.flushSess(sess, x.flushLimit()); err != nil {
 		return sess, err
 	}
 	x.progress.Store(time.Now().UnixNano())
@@ -565,9 +705,9 @@ func (x *exportOp) attach(conn net.Conn, st *writerState) (*connSession, error) 
 }
 
 // ackReader drains the receiver's acknowledgement back-channel, advancing
-// the acked watermark and waking a writer waiting for window space. It
-// exits when the connection dies, which is also how the writer learns of a
-// peer death while parked.
+// the acked watermark, waking the writer and telling a producer parked on
+// the budget to retry. It exits when the connection dies, which is also how
+// the writer learns of a peer death while parked.
 func (x *exportOp) ackReader(conn net.Conn, done chan struct{}) {
 	defer close(done)
 	var b [8]byte
@@ -580,6 +720,7 @@ func (x *exportOp) ackReader(conn net.Conn, done chan struct{}) {
 		case x.ackSig <- struct{}{}:
 		default:
 		}
+		x.signalSpace()
 	}
 }
 
@@ -594,31 +735,22 @@ func storeMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// inFlight is the number of staged frames not yet acknowledged.
-func (x *exportOp) inFlight(nextSeq uint64) uint64 {
-	a := x.acked.Load()
-	if a >= nextSeq {
-		return 0
-	}
-	return nextSeq - a
-}
-
-// runConn drains the staging ring onto one connection until the epoch ends
-// (connection error, ack-reader death, or close). Flush policy is
-// Nagle-style and tunable: flush once FlushBytes are pending, when the ring
-// runs empty (an idle stream never holds frames back), or when the oldest
-// pending frame has waited MaxFlushDelay under a sustained trickle.
-func (x *exportOp) runConn(sess *connSession, st *writerState) {
-	var pendingSince time.Time
+// runConn serves one connection until the epoch ends (connection error,
+// ack-reader death, or close). Each round seals the open frame and writes
+// everything sealed, then parks until a producer appends: frames carry what
+// producers appended while the writer was busy, and an idle stream never
+// holds a tuple back.
+func (x *exportOp) runConn(sess *connSession) {
 	for {
 		if th := x.frozenThaw(); th != nil {
-			// Migration freeze: flush what is buffered so the peer can
-			// acknowledge it, then park without staging anything further —
-			// not even leftover pending tuples, so the staged watermark
-			// (seqHigh) stops moving and quiescence can be observed. The
+			// Migration freeze: write what was appended before the freeze so
+			// the peer can acknowledge it, then park without writing anything
+			// further, so the delivered watermark stops moving and quiescence
+			// can be observed. Producers may go on appending until the budget
+			// is spent; the resume handshake replays it after a reroute. The
 			// freeze survives connection epochs: a reroute closes the
 			// connection, ackDone fires, the next epoch parks here again.
-			if x.flushSess(sess, st) != nil {
+			if x.flushSess(sess, x.flushLimit()) != nil {
 				return
 			}
 			x.parked.Store(true)
@@ -631,249 +763,166 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 				return
 			case <-x.quit:
 				x.parked.Store(false)
-				x.finalDrain(sess, st)
+				x.finalDrain(sess)
 				return
 			}
 		}
-		if st.pHead < len(st.pending) {
-			if err := x.stagePending(sess, st); err != nil {
-				if errors.Is(err, errExportClosing) {
-					x.finalDrain(sess, st)
-				}
-				return
-			}
-		}
-		n := x.ring.TryPopN(st.batch)
-		if n == 0 {
-			if st.log.buffered() > 0 {
-				if x.flushSess(sess, st) != nil {
-					return
-				}
-				pendingSince = time.Time{}
-			}
-			x.parked.Store(true)
-			if x.ring.Len() > 0 {
-				x.parked.Store(false)
-				continue
-			}
-			select {
-			case <-x.wake:
-				x.parked.Store(false)
-				continue
-			case <-x.ackSig:
-				// Idle and acknowledged: hand the blocks back now, so the
-				// window gauge falls with the acks and not at the next drain.
-				x.parked.Store(false)
-				st.log.release(x.acked.Load())
-				x.window.Store(int64(st.log.retained))
-				continue
-			case <-sess.ackDone:
-				x.parked.Store(false)
-				return
-			case <-x.quit:
-				x.parked.Store(false)
-				x.finalDrain(sess, st)
-				return
-			}
-		}
-		x.batches.record(n)
-		st.pending = append(st.pending[:0], st.batch[:n]...)
-		for i := 0; i < n; i++ {
-			st.batch[i] = nil
-		}
-		st.pHead = 0
-		x.signalSpace()
-		if err := x.stagePending(sess, st); err != nil {
+		if err := x.sealAndFlush(sess, false); err != nil {
 			if errors.Is(err, errExportClosing) {
-				x.finalDrain(sess, st)
+				x.finalDrain(sess)
 			}
 			return
 		}
-		if st.log.buffered() >= x.cfg.FlushBytes {
-			if x.flushSess(sess, st) != nil {
-				return
-			}
-			pendingSince = time.Time{}
-		} else if st.log.buffered() > 0 {
-			now := time.Now()
-			switch {
-			case pendingSince.IsZero():
-				pendingSince = now
-			case now.Sub(pendingSince) >= x.cfg.MaxFlushDelay:
-				if x.flushSess(sess, st) != nil {
-					return
-				}
-				pendingSince = time.Time{}
-			}
-		} else {
-			pendingSince = time.Time{}
-		}
 		x.progress.Store(time.Now().UnixNano())
-	}
-}
-
-// stagePending assigns wire sequences to the writer's pending tuples,
-// marshals them as batch frames into the block log (waiting for
-// acknowledgements when the byte budget is spent), and releases the pooled
-// clones; the frames reach the socket at the next flush. The pending drain
-// is cut into chunks that fit batchTargetBytes (almost always one chunk — a
-// full writerBatchTuples drain of small tuples is a few KiB; bulk tuples
-// split so a frame fills one log block) and each chunk becomes one frame,
-// marshalled once, straight into the log. Chaos hooks fire once per tuple,
-// in staging order, so a fault plan's Nth event lands on the same tuple
-// however the drain is framed and same-seed event logs stay byte-identical;
-// the hook *effects* are applied per frame after all of the chunk's events
-// are ranked — a kill closes the socket, a stall sleeps, and a corruption
-// poisons the wire in place of the whole just-staged frame, which rides the
-// window to the next epoch (the mid-batch-frame fault surface).
-func (x *exportOp) stagePending(sess *connSession, st *writerState) error {
-	defer func() { x.window.Store(int64(st.log.retained)) }()
-	for st.pHead < len(st.pending) {
-		// Cut the next chunk, dropping tuples too large to frame even alone.
-		k, prev, body := 0, 0, batchHeaderBytes
-		for st.pHead+k < len(st.pending) {
-			t := st.pending[st.pHead+k]
-			add := batchFrameAdd(t, prev)
-			if batchHeaderBytes+batchFrameAdd(t, 0) > maxFrameBytes {
-				if k > 0 {
-					break // flush the chunk so far, then drop on the next pass
-				}
-				x.dropped.Add(1)
-				t.Release()
-				clearPending(st, 1)
-				continue
-			}
-			if k > 0 && body+add > batchTargetBytes {
-				break
-			}
-			if body+add > maxFrameBytes {
-				break
-			}
-			body += add
-			prev = batchRecordBytes(t)
-			k++
-		}
-		if k == 0 {
-			continue // everything left was oversized and dropped
-		}
-		if err := x.awaitWindow(sess, st, 4+body); err != nil {
-			return err
-		}
-		mark := st.log.appended
-		chunk := st.pending[st.pHead : st.pHead+k]
-		st.log.appendBatch(st.nextSeq+1, chunk, body)
-		st.nextSeq += uint64(k)
-		x.seqHigh.Store(st.nextSeq)
-		x.sent.Add(uint64(k))
-		x.wireFrames.Add(1)
-		for _, t := range chunk {
-			t.Release()
-		}
-		clearPending(st, k)
-		if x.inj != nil {
-			// Rank every tuple's events before acting, so a corruption landing
-			// mid-chunk never skips the kill/stall evaluations of the tuples
-			// after it — event ranks are a pure function of staging order.
-			killed, corrupted := false, false
-			var stall time.Duration
-			for i := 0; i < k; i++ {
-				if x.inj.Fire(fault.ConnKill, x.site) {
-					killed = true
-				}
-				if d := x.inj.FireDelay(fault.WriterStall, x.site); d > 0 {
-					stall += d
-				}
-				if x.inj.Fire(fault.FrameCorrupt, x.site) {
-					x.corrupts.Add(1)
-					corrupted = true
-				}
-			}
-			if killed {
-				_ = sess.conn.Close()
-			}
-			if stall > 0 {
-				time.Sleep(stall)
-			}
-			if corrupted {
-				return x.writeCorrupted(sess, st, mark)
-			}
-		}
-	}
-	st.pending = st.pending[:0]
-	st.pHead = 0
-	return nil
-}
-
-// clearPending nils and advances past the first k un-cleared pending slots.
-func clearPending(st *writerState, k int) {
-	for i := 0; i < k; i++ {
-		st.pending[st.pHead+i] = nil
-	}
-	st.pHead += k
-}
-
-// awaitWindow blocks until the block log has room for a frame of n bytes,
-// flushing first so the receiver can acknowledge what it has.
-func (x *exportOp) awaitWindow(sess *connSession, st *writerState, n int) error {
-	for st.log.full(n, x.acked.Load()) {
-		if err := x.flushSess(sess, st); err != nil {
-			return err
-		}
-		if st.closing {
-			timer := time.NewTimer(closeFlushTimeout)
-			select {
-			case <-x.ackSig:
-				timer.Stop()
-			case <-sess.ackDone:
-				timer.Stop()
-				return errExportConnLost
-			case <-timer.C:
-				return errExportWindowFull
-			}
+		x.parked.Store(true)
+		if !x.idle() {
+			x.parked.Store(false)
 			continue
 		}
 		select {
+		case <-x.wake:
 		case <-x.ackSig:
+			// Idle and acknowledged: hand the blocks back now, so the window
+			// gauge falls with the acks and not at the next flush.
+			x.amu.Lock()
+			x.log.release(x.acked.Load())
+			x.window.Store(int64(x.log.retained))
+			x.amu.Unlock()
 		case <-sess.ackDone:
-			return errExportConnLost
+			x.parked.Store(false)
+			return
 		case <-x.quit:
-			return errExportClosing
+			x.parked.Store(false)
+			x.finalDrain(sess)
+			return
+		}
+		x.parked.Store(false)
+	}
+}
+
+// flushLimit is the log position the writer may write up to: everything,
+// or while the edge is frozen what the freeze sealed.
+func (x *exportOp) flushLimit() uint64 {
+	if !x.frozen.Load() {
+		return ^uint64(0)
+	}
+	x.amu.Lock()
+	defer x.amu.Unlock()
+	return x.frozenAt
+}
+
+// idle reports that nothing waits to be sealed, written or applied.
+func (x *exportOp) idle() bool {
+	x.amu.Lock()
+	defer x.amu.Unlock()
+	return x.frame.count == 0 && x.log.buffered() == 0 && len(x.fx) == 0
+}
+
+// sealAndFlush seals the open frame and writes everything sealed. When the
+// log has no block memory for the open frame it writes what it has, so the
+// receiver can acknowledge it, and waits for the acknowledgement (bounded by
+// closeFlushTimeout while closing).
+func (x *exportOp) sealAndFlush(sess *connSession, closing bool) error {
+	for {
+		x.amu.Lock()
+		sealed := x.sealLocked()
+		x.amu.Unlock()
+		if err := x.flushSess(sess, ^uint64(0)); err != nil {
+			return err
+		}
+		if sealed {
+			return nil
+		}
+		if err := x.awaitAck(sess, closing); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
-// writeCorrupted sends what was staged before the log position mark, then
-// poisons the wire with an invalid length prefix so the receiver rejects the
-// stream and resets the connection. The frame staged at mark is deliberately
-// withheld: the written cursor steps over it and it rides the window to the
-// next epoch.
-func (x *exportOp) writeCorrupted(sess *connSession, st *writerState, mark uint64) error {
-	if err := x.flushTo(sess, st, mark); err != nil {
-		return err
+// awaitAck waits for the receiver's next acknowledgement; it gives up when
+// the connection dies, when the export closes, or — while closing — after
+// closeFlushTimeout.
+func (x *exportOp) awaitAck(sess *connSession, closing bool) error {
+	var timeout <-chan time.Time
+	quit := x.quit
+	if closing {
+		timer := time.NewTimer(closeFlushTimeout)
+		defer timer.Stop()
+		timeout, quit = timer.C, nil
 	}
-	st.log.skip()
-	var bad [4]byte
-	binary.LittleEndian.PutUint32(bad[:], ^uint32(0))
-	if _, err := sess.conn.Write(bad[:]); err != nil {
-		return err
+	select {
+	case <-x.ackSig:
+		return nil
+	case <-sess.ackDone:
+		return errExportConnLost
+	case <-quit:
+		return errExportClosing
+	case <-timeout:
+		return errExportWindowFull
 	}
-	return fmt.Errorf("pe: export %s injected frame corruption", x.name)
 }
 
-// flushSess hands every staged byte to the connection.
-func (x *exportOp) flushSess(sess *connSession, st *writerState) error {
-	return x.flushTo(sess, st, st.log.appended)
+// flushSess writes the sealed bytes up to log position limit to the
+// connection, applying the fault effects of each frame on the way: before a
+// faulted frame goes out, a kill closes the socket, a stall sleeps, and a
+// corruption poisons the wire with an invalid length prefix in the frame's
+// place and ends the epoch — the frame itself rides the window to the next
+// epoch (the mid-batch-frame fault surface).
+func (x *exportOp) flushSess(sess *connSession, limit uint64) error {
+	for {
+		x.amu.Lock()
+		upTo := min(x.log.appended, limit)
+		fx, faulted := frameFx{}, len(x.fx) > 0 && x.fx[0].at < upTo
+		if faulted {
+			fx = x.fx[0]
+			upTo = fx.at
+		}
+		x.amu.Unlock()
+		if err := x.flushTo(sess, upTo); err != nil || !faulted {
+			return err
+		}
+		x.amu.Lock()
+		x.fx = x.fx[:copy(x.fx, x.fx[1:])]
+		x.amu.Unlock()
+		if fx.kill {
+			_ = sess.conn.Close()
+		}
+		if fx.stall > 0 {
+			time.Sleep(fx.stall)
+		}
+		if fx.corrupt {
+			var bad [4]byte
+			binary.LittleEndian.PutUint32(bad[:], ^uint32(0))
+			if _, err := sess.conn.Write(bad[:]); err != nil {
+				return err
+			}
+			return fmt.Errorf("pe: export %s injected frame corruption", x.name)
+		}
+	}
 }
 
 // flushTo writes the log's unsent bytes up to position upTo onto the
-// connection, straight from block memory, counting wire bytes and the flush.
-func (x *exportOp) flushTo(sess *connSession, st *writerState, upTo uint64) error {
-	if st.log.written >= upTo {
+// connection straight from block memory, counting wire bytes and the flush.
+// The socket write runs outside the append lock, so producers keep
+// appending; the blocks it covers stay pinned until it returns. Blocks the
+// receiver has acknowledged meanwhile are released after it, and a producer
+// parked on a full edge is told to retry.
+func (x *exportOp) flushTo(sess *connSession, upTo uint64) error {
+	l := x.log
+	x.amu.Lock()
+	iov := l.gather(upTo)
+	x.amu.Unlock()
+	if len(iov) == 0 {
 		return nil
 	}
-	nb, err := st.log.flush(sess.conn, upTo)
-	x.bytes.Add(uint64(nb))
+	n, err := l.write(sess.conn, iov)
+	x.amu.Lock()
+	l.wrote(n)
+	l.release(x.acked.Load())
+	x.window.Store(int64(l.retained))
+	x.amu.Unlock()
+	x.signalSpace()
+	x.bytes.Add(uint64(n))
 	if err != nil {
 		return err
 	}
@@ -881,109 +930,37 @@ func (x *exportOp) flushTo(sess *connSession, st *writerState, upTo uint64) erro
 	return nil
 }
 
-// finalDrain empties the staging ring onto the wire at graceful close. A
-// few yield rounds let in-flight producers land their reserved slots;
-// anything it cannot write (dead peer, stuck window) is left for finish()
-// to drop-and-count.
-func (x *exportOp) finalDrain(sess *connSession, st *writerState) {
-	st.closing = true
-	if x.stagePending(sess, st) != nil {
-		return
-	}
+// finalDrain seals and writes what producers appended before close. A few
+// yield rounds let producers that passed the accepting check before close
+// land their appends; what cannot be written (dead peer, stuck window) is
+// left for finish() to account.
+func (x *exportOp) finalDrain(sess *connSession) {
 	for round := 0; round < 3; round++ {
-		for {
-			n := x.ring.TryPopN(st.batch)
-			if n == 0 {
-				break
-			}
-			x.batches.record(n)
-			st.pending = append(st.pending[:0], st.batch[:n]...)
-			for i := 0; i < n; i++ {
-				st.batch[i] = nil
-			}
-			st.pHead = 0
-			x.signalSpace()
-			if x.stagePending(sess, st) != nil {
-				return
-			}
-		}
-		runtime.Gosched()
-	}
-	_ = x.flushSess(sess, st)
-}
-
-// dropPending drops-and-counts tuples popped from the staging ring but
-// never staged, returning their pooled clones. Runs when the stream fails
-// permanently or closes — the satellite fix for the old path that left
-// staged leftovers to the garbage collector.
-func (x *exportOp) dropPending(st *writerState) {
-	for i := st.pHead; i < len(st.pending); i++ {
-		if t := st.pending[i]; t != nil {
-			x.dropped.Add(1)
-			t.Release()
-			st.pending[i] = nil
-		}
-	}
-	st.pending = st.pending[:0]
-	st.pHead = 0
-}
-
-// drainUntilQuit keeps the staging ring flowing (into the drop counter)
-// after a permanent failure, so producers never wedge on a dead stream and
-// pushed == sent + dropped converges.
-func (x *exportOp) drainUntilQuit(st *writerState) {
-	for {
-		n := x.ring.TryPopN(st.batch)
-		if n > 0 {
-			for i := 0; i < n; i++ {
-				x.dropped.Add(1)
-				st.batch[i].Release()
-				st.batch[i] = nil
-			}
-			x.signalSpace()
-			continue
-		}
-		x.parked.Store(true)
-		if x.ring.Len() > 0 {
-			x.parked.Store(false)
-			continue
-		}
-		select {
-		case <-x.wake:
-			x.parked.Store(false)
-		case <-x.quit:
-			x.parked.Store(false)
+		if x.sealAndFlush(sess, true) != nil {
 			return
 		}
+		runtime.Gosched()
 	}
 }
 
-// finish settles the stream's books at writer exit: remaining pending and
-// staged tuples drop-and-count (and return to the pool), and the
-// never-acknowledged staged frames are recorded — they may or may not have
-// reached the peer.
-func (x *exportOp) finish(st *writerState) {
-	x.dropPending(st)
-	for round := 0; round < 3; round++ {
-		for {
-			n := x.ring.TryPopN(st.batch)
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				x.dropped.Add(1)
-				st.batch[i].Release()
-				st.batch[i] = nil
-			}
-			x.signalSpace()
-		}
-		runtime.Gosched()
+// finish settles the stream's books at writer exit: tuples still in the open
+// frame never reached the log and drop-and-count, and the never-acknowledged
+// appended tuples are recorded — they may or may not have reached the peer.
+// The stream is over: nothing can be replayed any more, so the blocks go,
+// and producers arriving later drop at the nil log.
+func (x *exportOp) finish() {
+	x.amu.Lock()
+	if n := uint64(x.frame.count); n > 0 {
+		x.dropped.Add(n)
+		x.sent.Add(-n)
+		x.nextSeq -= n
+		x.seqHigh.Store(x.nextSeq)
 	}
-	if a := x.acked.Load(); a < st.nextSeq {
-		x.unacked.Store(st.nextSeq - a)
+	if a := x.acked.Load(); a < x.nextSeq {
+		x.unacked.Store(x.nextSeq - a)
 	}
-	// The stream is over: nothing can be replayed any more, so the blocks go.
-	st.log = nil
+	x.log, x.frame, x.fx = nil, openFrame{}, nil
+	x.amu.Unlock()
 	x.window.Store(0)
 }
 
@@ -1016,11 +993,11 @@ func (x *exportOp) redial() net.Conn {
 	}
 }
 
-// Sent returns the number of tuples staged onto the stream (assigned a
-// wire sequence and parked in the retransmit window).
+// Sent returns the number of tuples appended to the stream (assigned a wire
+// sequence).
 func (x *exportOp) Sent() uint64 { return x.sent.Load() }
 
-// Dropped returns the number of tuples the stream never staged.
+// Dropped returns the number of tuples the stream never took.
 func (x *exportOp) Dropped() uint64 { return x.dropped.Load() }
 
 // BytesSent returns the wire bytes of encoded frames, retransmits included.
@@ -1029,7 +1006,7 @@ func (x *exportOp) BytesSent() uint64 { return x.bytes.Load() }
 // Flushes returns the number of explicit flushes onto the connection.
 func (x *exportOp) Flushes() uint64 { return x.flushes.Load() }
 
-// WireFrames returns the number of batch frames staged onto the wire.
+// WireFrames returns the number of batch frames sealed into the log.
 // Sent/WireFrames is the batch amortization ratio; WireFrames/Flushes is
 // frames per flush.
 func (x *exportOp) WireFrames() uint64 { return x.wireFrames.Load() }
@@ -1040,19 +1017,34 @@ func (x *exportOp) Retransmits() uint64 { return x.retrans.Load() }
 // Reconnects returns the number of successful re-attaches.
 func (x *exportOp) Reconnects() uint64 { return x.reconnects.Load() }
 
-// Unacked returns the staged frames never acknowledged, recorded at close.
+// Unacked returns the appended tuples never acknowledged, recorded at close.
 func (x *exportOp) Unacked() uint64 { return x.unacked.Load() }
 
 // UnackedBytes returns the block memory the stream retains for replay: the
 // blocks holding frames the receiver has not acknowledged yet.
 func (x *exportOp) UnackedBytes() int64 { return x.window.Load() }
 
-// StagedDepth returns the staging ring's instantaneous depth.
+// StagedDepth returns what the edge holds but has not handed on: on a wire
+// edge the bytes appended but not yet written to the socket, open frame
+// included; on a local edge the tuples in the ring. Zero means everything
+// appended has left the export.
 func (x *exportOp) StagedDepth() int {
 	if !x.wired.Load() {
 		return 0
 	}
-	return x.ring.Len()
+	if x.ring != nil {
+		return x.ring.Len()
+	}
+	x.amu.Lock()
+	defer x.amu.Unlock()
+	if x.log == nil {
+		return 0
+	}
+	n := x.log.buffered()
+	if x.frame.count > 0 {
+		n += 4 + x.frame.body
+	}
+	return n
 }
 
 // Connected reports whether the stream currently has a healthy connection.
@@ -1080,12 +1072,12 @@ func (x *exportOp) close() {
 		<-done
 	}
 	if x.local.Load() {
-		// No writer goroutine settled the books: leftover staged clones the
-		// peer never popped drop-and-count here so pushed == sent + dropped
+		// No writer goroutine settled the books: leftover clones the peer
+		// never popped drop-and-count here so pushed == sent + dropped
 		// converges, exactly as finish() does for a wire stream. The peer
 		// may race a final pop; MPMC keeps the split disjoint.
 		x.connected.Store(false)
-		var batch [writerBatchTuples]*spl.Tuple
+		var batch [localPopMax]*spl.Tuple
 		for {
 			n := x.ring.TryPopN(batch[:])
 			if n == 0 {
@@ -1108,13 +1100,14 @@ func (x *exportOp) close() {
 }
 
 // importSource is the source standing in for a cross-PE stream's receiving
-// side. A dedicated reader goroutine decodes frames from the connection and
-// hands the materialized tuples to the operator thread through a bounded
-// MPMC injection ring — a whole batch frame lands with one TryPushN instead
-// of per-tuple channel sends, and the operator thread pops slices straight
-// into the engine (feeding a compiled region's batch buffer when the
-// emitter supports EmitN). A blocked TCP read can never stall the engine's
-// pause barrier, and one wake delivers many tuples.
+// side. A dedicated reader goroutine reads each frame into a pooled arena,
+// validates it, sheds the duplicate prefix a retransmit carries, and hands
+// the frame — not its tuples — to the operator thread through a small MPMC
+// frame ring. Next builds the tuples on the operator thread and emits them
+// in one EmitN, so a compiled region's batch buffer takes the frame whole
+// and every tuple is acquired and released by the goroutines of one engine.
+// A blocked TCP read can never stall the engine's pause barrier, and one
+// wake delivers a whole frame.
 //
 // The import owns the stream's listener (when launched as part of a job):
 // after a connection dies it accepts the sender's redial, replies with its
@@ -1134,26 +1127,24 @@ type importSource struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	ln     net.Listener
-	inq    *queue.MPMC[*spl.Tuple] // injection ring: reader -> operator thread
+	inq    *queue.MPMC[frameRef] // frame ring: reader -> operator thread
 	done   chan struct{}
 	closed atomic.Bool
 
-	// inWake nudges an operator thread parked on an empty injection ring;
+	// inWake nudges an operator thread parked on an empty frame ring;
 	// inSpace nudges a reader blocked on a full one. Both carry at most one
 	// pending signal, like the export's wake/space pair.
 	inWake  chan struct{}
 	inSpace chan struct{}
 
-	// rbatch is the operator thread's pop scratch; only the thread driving
-	// Next touches it.
+	// rbatch is the operator thread's build (or, on a local edge, pop)
+	// scratch; only the thread driving Next touches it.
 	rbatch []*spl.Tuple
 
-	// peer/batch are the in-process fast path: a non-nil peer means this
-	// import pops the co-located export's staging ring directly (no reader
-	// goroutine, injection ring, or connection exists). Only the operator
-	// thread driving Next touches batch.
-	peer  *exportOp
-	batch []*spl.Tuple
+	// peer is the in-process fast path: a non-nil peer means this import pops
+	// the co-located export's tuple ring directly (no reader goroutine, frame
+	// ring, or connection exists).
+	peer *exportOp
 
 	// timer is the reusable idle-poll timer; only the operator thread
 	// driving Next touches it.
@@ -1297,12 +1288,12 @@ func (s *importSource) cutWatermark() uint64 {
 }
 
 // rewind rolls the import back to checkpoint watermark `to`: the current
-// connection epoch is killed, tuples decoded-but-not-processed are
-// released, and the dedup/resume watermarks reset so the next handshake
-// makes the sender retransmit (to, head] from its log. Called with the
-// engine paused, so no Next is in flight; replayed tuples re-enter the
-// pipeline exactly as live ones. No-op on local edges, closed streams, or
-// when `to` is ahead of this stream's delivery (foreign watermark).
+// connection epoch is killed, frames read-but-not-built are released, and
+// the dedup/resume watermarks reset so the next handshake makes the sender
+// retransmit (to, head] from its log. Called with the engine paused, so no
+// Next is in flight; replayed tuples re-enter the pipeline exactly as live
+// ones. No-op on local edges, closed streams, or when `to` is ahead of this
+// stream's delivery (foreign watermark).
 func (s *importSource) rewind(to uint64) {
 	if s.peer != nil || s.closed.Load() {
 		return
@@ -1320,14 +1311,13 @@ func (s *importSource) rewind(to uint64) {
 	if conn != nil {
 		_ = conn.Close()
 	}
-	// The reader may be blocked pushing a decoded batch into a full ring (the
-	// engine is paused) and must finish its epoch before the rewind can
-	// apply: wake it, and pushBatch gives up on seeing the rewind. Only
-	// applyRewind empties the ring — draining it from here would race the
-	// next epoch and throw replayed tuples away. The timeout only guards
-	// pathological shutdown races (no live connection and no redial); a late
-	// apply is still safe — it just re-delivers tuples the dedup downstream
-	// drops.
+	// The reader may be blocked pushing a frame into a full ring (the engine
+	// is paused) and must finish its epoch before the rewind can apply: wake
+	// it, and pushFrame gives up on seeing the rewind. Only applyRewind
+	// empties the ring — draining it from here would race the next epoch and
+	// throw replayed frames away. The timeout only guards pathological
+	// shutdown races (no live connection and no redial); a late apply is
+	// still safe — it just re-delivers tuples the dedup downstream drops.
 	s.signalInSpace()
 	timeout := time.NewTimer(5 * time.Second)
 	defer timeout.Stop()
@@ -1339,9 +1329,9 @@ func (s *importSource) rewind(to uint64) {
 }
 
 // applyRewind applies a pending rewind between connection epochs: no
-// serveConn is active, so draining the injection ring and resetting the
+// serveConn is active, so draining the frame ring and resetting the
 // watermarks races nobody. (The engine is paused, so no Next pops either.)
-func (s *importSource) applyRewind(q *queue.MPMC[*spl.Tuple]) {
+func (s *importSource) applyRewind(q *queue.MPMC[frameRef]) {
 	s.mu.Lock()
 	req := s.pendingRewind
 	s.pendingRewind = nil
@@ -1349,16 +1339,12 @@ func (s *importSource) applyRewind(q *queue.MPMC[*spl.Tuple]) {
 	if req == nil {
 		return
 	}
-	var drain [importBatchMax]*spl.Tuple
 	for {
-		n := q.TryPopN(drain[:])
-		if n == 0 {
+		f, ok := q.TryPop()
+		if !ok {
 			break
 		}
-		for i := 0; i < n; i++ {
-			drain[i].Release()
-			drain[i] = nil
-		}
+		f.a.Release()
 	}
 	s.delivered.Store(req.to)
 	s.emitted.Store(req.to)
@@ -1390,23 +1376,23 @@ func (s *importSource) connect(conn net.Conn, ln net.Listener) {
 	defer s.mu.Unlock()
 	s.conn = conn
 	s.ln = ln
-	// importRingCapacity is a power of two, so NewMPMC cannot fail.
-	s.inq, _ = queue.NewMPMC[*spl.Tuple](importRingCapacity)
+	// importRingFrames is a power of two, so NewMPMC cannot fail.
+	s.inq, _ = queue.NewMPMC[frameRef](importRingFrames)
 	s.inWake = make(chan struct{}, 1)
 	s.inSpace = make(chan struct{}, 1)
-	s.rbatch = make([]*spl.Tuple, importBatchMax)
+	s.rbatch = make([]*spl.Tuple, maxBatchTuples)
 	s.done = make(chan struct{})
 	go s.readLoop(conn, s.inq, s.done)
 }
 
 // connectLocal wires the import as the receiving half of an in-process
-// edge: Next pops the co-located export's staging ring directly instead of
-// draining a reader goroutine's channel. Must happen before the engine
-// starts, after the export's connectLocal.
+// edge: Next pops the co-located export's tuple ring directly instead of
+// building frames a reader goroutine hands over. Must happen before the
+// engine starts, after the export's connectLocal.
 func (s *importSource) connectLocal(exp *exportOp) {
 	s.mu.Lock()
 	s.peer = exp
-	s.batch = make([]*spl.Tuple, importBatchMax)
+	s.rbatch = make([]*spl.Tuple, localPopMax)
 	s.mu.Unlock()
 }
 
@@ -1416,12 +1402,12 @@ func (s *importSource) setConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// readLoop serves connection epochs: decode frames from the current
+// readLoop serves connection epochs: read frames from the current
 // connection until it dies, then (with a listener) accept the sender's
 // redial and continue. done closes only when the stream truly ends; the
-// operator thread treats done-closed plus an empty injection ring as
+// operator thread treats done-closed plus an empty frame ring as
 // end-of-stream.
-func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done chan struct{}) {
+func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[frameRef], done chan struct{}) {
 	defer close(done)
 	for {
 		if conn != nil {
@@ -1429,7 +1415,7 @@ func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done c
 			_ = conn.Close()
 			conn = nil
 		}
-		// Between connection epochs no decoder is running: the only safe
+		// Between connection epochs no reader is running: the only safe
 		// point to roll the watermarks back for a checkpoint recovery.
 		s.applyRewind(q)
 		s.mu.Lock()
@@ -1457,16 +1443,16 @@ func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done c
 }
 
 // serveConn speaks one connection epoch of the resume protocol: send the
-// delivered watermark as the handshake, then decode batch frames, dropping
-// tuples whose wire sequences sit at or below the
+// delivered watermark as the handshake, then read and validate batch
+// frames, shedding the records whose wire sequences sit at or below the
 // watermark (retransmitted duplicates — within a batch frame the overlap is
 // always a prefix, since sequences ascend) and acknowledging delivery
 // inline every ackEvery frames or ackEveryBytes with a ticker covering the
-// idle tail (and a kick from the checkpoint commit path). A
-// decoded batch lands in the injection ring with TryPushN; a full ring
-// blocks the reader on the operator thread's space signal, which is the
-// same backpressure the old per-tuple channel send applied.
-func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
+// idle tail (and a kick from the checkpoint commit path). A validated frame
+// lands in the frame ring with one push; a full ring blocks the reader on
+// the operator thread's space signal, which stops the socket reads and lets
+// TCP push back on the sender.
+func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[frameRef]) {
 	var wmu sync.Mutex
 	var ackFailed atomic.Bool
 	writeU64 := func(v uint64) bool {
@@ -1522,9 +1508,8 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 	}()
 	dec := newDecoder(conn)
 	sinceAck, sinceAckBytes := 0, 0
-	scratch := make([]*spl.Tuple, maxBatchTuples)
 	for {
-		n, first, err := dec.decodeFrame(scratch)
+		f, err := dec.readFrame()
 		if err != nil {
 			// EOF ends the epoch cleanly; a framing error also ends it —
 			// the reset is what triggers the sender's retransmit resume.
@@ -1533,41 +1518,32 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 		if s.rewinding.Load() {
 			// A checkpoint recovery is rolling this stream back; end the
 			// epoch without advancing any watermark.
-			releaseAll(scratch[:n])
+			f.a.Release()
 			return
 		}
-		s.bytes.Add(uint64(dec.lastFrameBytes()))
+		size := dec.lastFrameBytes()
+		s.bytes.Add(uint64(size))
 		s.frames.Add(1)
 		// Dedup at tuple-seq granularity: a retransmitted batch frame that
 		// partially overlaps the watermark sheds its already-delivered
 		// prefix here.
-		wm := s.delivered.Load()
-		j := 0
-		for i := 0; i < n; i++ {
-			if first+uint64(i) <= wm {
-				s.dups.Add(1)
-				scratch[i].Release()
-				scratch[i] = nil
-				continue
+		if wm := s.delivered.Load(); wm >= f.base {
+			f.skip = int(min(wm-f.base+1, uint64(f.count)))
+			s.dups.Add(uint64(f.skip))
+			if f.skip == f.count {
+				f.a.Release()
+				continue // whole frame was duplicate
 			}
-			scratch[j] = scratch[i]
-			j++
 		}
-		for i := j; i < n; i++ {
-			scratch[i] = nil
-		}
-		if j == 0 {
-			continue // whole frame was duplicate
-		}
-		last := first + uint64(n) - 1
+		last := f.base + uint64(f.count) - 1
 		s.delivered.Store(last)
-		if !s.pushBatch(q, scratch[:j]) {
-			return // closing or rewinding; unpushed tuples released
+		if !s.pushFrame(q, f) {
+			return // closing or rewinding; the frame was released
 		}
-		s.received.Add(uint64(j))
-		s.notePressure(dec.lastFrameBytes())
+		s.received.Add(uint64(f.count - f.skip))
+		s.notePressure(size)
 		sinceAck++
-		sinceAckBytes += dec.lastFrameBytes()
+		sinceAckBytes += size
 		if sinceAck >= ackEvery || sinceAckBytes >= ackEveryBytes {
 			sinceAck, sinceAckBytes = 0, 0
 			// Gated, the view sits at the floor between commits: say it once.
@@ -1578,36 +1554,15 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[*spl.Tuple]) {
 	}
 }
 
-// releaseAll releases and nils every tuple of ts.
-func releaseAll(ts []*spl.Tuple) {
-	for i, t := range ts {
-		if t != nil {
-			t.Release()
-			ts[i] = nil
-		}
-	}
-}
-
-// pushBatch lands a decoded batch in the injection ring, waking a parked
-// operator thread after every partial push and parking on the space signal
-// when the ring is full. It returns false — releasing the unpushed
-// remainder — when the stream closes or a rewind begins, so a dead consumer
-// can never wedge the reader.
-func (s *importSource) pushBatch(q *queue.MPMC[*spl.Tuple], ts []*spl.Tuple) bool {
-	off := 0
+// pushFrame lands a validated frame in the frame ring and wakes a parked
+// operator thread, parking on the space signal while the ring is full. It
+// returns false — releasing the frame — when the stream closes or a rewind
+// begins, so a dead consumer can never wedge the reader.
+func (s *importSource) pushFrame(q *queue.MPMC[frameRef], f frameRef) bool {
 	var timer *time.Timer
-	for off < len(ts) {
-		n := q.TryPushN(ts[off:])
-		if n > 0 {
-			for i := off; i < off+n; i++ {
-				ts[i] = nil
-			}
-			off += n
-			s.signalInWake()
-			continue
-		}
+	for !q.TryPush(f) {
 		if s.closed.Load() || s.rewinding.Load() {
-			releaseAll(ts[off:])
+			f.a.Release()
 			return false
 		}
 		if timer == nil {
@@ -1627,10 +1582,11 @@ func (s *importSource) pushBatch(q *queue.MPMC[*spl.Tuple], ts []*spl.Tuple) boo
 		case <-timer.C:
 		}
 	}
+	s.signalInWake()
 	return true
 }
 
-// signalInWake nudges an operator thread parked on an empty injection ring.
+// signalInWake nudges an operator thread parked on an empty frame ring.
 func (s *importSource) signalInWake() {
 	select {
 	case s.inWake <- struct{}{}:
@@ -1638,7 +1594,7 @@ func (s *importSource) signalInWake() {
 	}
 }
 
-// signalInSpace tells a reader blocked on a full injection ring that slots
+// signalInSpace tells a reader blocked on a full frame ring that a slot
 // freed.
 func (s *importSource) signalInSpace() {
 	select {
@@ -1647,12 +1603,12 @@ func (s *importSource) signalInSpace() {
 	}
 }
 
-// Next emits the next batch of received tuples: a non-blocking TryPopN of
-// up to importBatchMax queued tuples when traffic is flowing (no timer-heap
-// traffic at all on that path), falling back to a park on the reader's wake
-// signal bounded by the reusable poll timer when the stream is quiet. It
-// yields with true (and no emission) when the stream is idle for a poll
-// interval, and returns false only once the stream has ended and drained.
+// Next emits the next frame's tuples: a non-blocking pop when traffic is
+// flowing (no timer-heap traffic at all on that path), falling back to a
+// park on the reader's wake signal bounded by the reusable poll timer when
+// the stream is quiet. It yields with true (and no emission) when the stream
+// is idle for a poll interval, and returns false only once the stream has
+// ended and drained.
 func (s *importSource) Next(out spl.Emitter) bool {
 	if s.peer != nil {
 		return s.nextLocal(out)
@@ -1665,21 +1621,16 @@ func (s *importSource) Next(out spl.Emitter) bool {
 		time.Sleep(importPollInterval)
 		return !s.closed.Load()
 	}
-	// Fast path: tuples are already buffered; the poll timer stays cold.
-	if n := q.TryPopN(s.rbatch); n > 0 {
-		s.emitN(out, n)
+	// Fast path: a frame is already waiting; the poll timer stays cold.
+	if s.emitFrame(out, q) {
 		return true
 	}
 	select {
 	case <-done:
-		// The reader has exited; drain anything it pushed before the end,
+		// The reader has exited; emit anything it pushed before the end,
 		// then finish the stream. (done closing happens after the reader's
 		// final push, so an empty pop here really is the end.)
-		if n := q.TryPopN(s.rbatch); n > 0 {
-			s.emitN(out, n)
-			return true
-		}
-		return false
+		return s.emitFrame(out, q)
 	default:
 	}
 	if s.timer == nil {
@@ -1697,9 +1648,7 @@ func (s *importSource) Next(out spl.Emitter) bool {
 			default:
 			}
 		}
-		if n := q.TryPopN(s.rbatch); n > 0 {
-			s.emitN(out, n)
-		}
+		s.emitFrame(out, q)
 		return true
 	case <-done:
 		if !s.timer.Stop() {
@@ -1708,30 +1657,39 @@ func (s *importSource) Next(out spl.Emitter) bool {
 			default:
 			}
 		}
-		if n := q.TryPopN(s.rbatch); n > 0 {
-			s.emitN(out, n)
-			return true
-		}
-		return false
+		return s.emitFrame(out, q)
 	case <-s.timer.C:
 		return true
 	}
 }
 
+// emitFrame pops one frame, builds its tuples on the calling operator
+// thread and hands them downstream in one emitN; false when the ring is
+// empty. The whole frame goes in one call, so no decode state outlives it.
+func (s *importSource) emitFrame(out spl.Emitter, q *queue.MPMC[frameRef]) bool {
+	f, ok := q.TryPop()
+	if !ok {
+		return false
+	}
+	s.signalInSpace()
+	s.emitN(out, buildFrame(f, s.rbatch))
+	return true
+}
+
 // nextLocal is the in-process edge's Next: pop a batch straight off the
-// peer export's staging ring and emit it — ownership of the pooled clones
+// peer export's tuple ring and emit it — ownership of the pooled clones
 // transfers to this PE's runtime, which releases them downstream exactly as
-// it would decoded tuples. On an empty ring it parks on the export's wake
+// it would built tuples. On an empty ring it parks on the export's wake
 // protocol (the same parked-flag handshake the writer goroutine uses, so
 // Process's wakeWriter nudges the import instead), bounded by the reusable
 // poll timer so engine reconfiguration is never stalled by a quiet edge.
 func (s *importSource) nextLocal(out spl.Emitter) bool {
 	p := s.peer
-	n := p.localPop(s.batch)
+	n := p.localPop(s.rbatch)
 	if n > 0 {
 		for i := 0; i < n; i++ {
-			out.Emit(0, s.batch[i])
-			s.batch[i] = nil
+			out.Emit(0, s.rbatch[i])
+			s.rbatch[i] = nil
 		}
 		s.received.Add(uint64(n))
 		return true
@@ -1766,10 +1724,10 @@ func (s *importSource) nextLocal(out spl.Emitter) bool {
 	return true
 }
 
-// emitN hands the first n tuples of the pop scratch downstream — in one
-// EmitN when the emitter is batch-aware, so a cross-PE batch lands straight
-// in a compiled region's source buffer, else tuple by tuple — then counts
-// them and signals ring space to the reader.
+// emitN hands the first n tuples of the build scratch downstream — in one
+// EmitN when the emitter is batch-aware, so a cross-PE frame lands straight
+// in a compiled region's source buffer, else tuple by tuple — and counts
+// them.
 func (s *importSource) emitN(out spl.Emitter, n int) {
 	if be, ok := out.(spl.BatchEmitter); ok {
 		be.EmitN(0, s.rbatch[:n])
@@ -1786,7 +1744,6 @@ func (s *importSource) emitN(out spl.Emitter, n int) {
 	// sequence of the last tuple handed downstream — the checkpoint
 	// watermark read under the pause barrier.
 	s.emitted.Add(uint64(n))
-	s.signalInSpace()
 }
 
 // Received returns the number of unique tuples delivered downstream.

@@ -58,8 +58,7 @@ func TestExportDropsBeforeConnect(t *testing.T) {
 func TestExportCountersConvergeWhenPeerDies(t *testing.T) {
 	send, recv := loopbackPair(t)
 	exp := newExportOp("x")
-	// Flush every batch so the broken connection surfaces quickly.
-	exp.cfg = TransportConfig{FlushBytes: 1, BlockTimeout: 50 * time.Millisecond}.withDefaults()
+	exp.cfg = TransportConfig{BlockTimeout: 50 * time.Millisecond}.withDefaults()
 	// No redial address: losing the peer fails the stream permanently.
 	if err := exp.connect(send, ""); err != nil {
 		t.Fatal(err)
@@ -146,18 +145,19 @@ func TestDialStreamTimesOutWithoutListener(t *testing.T) {
 	}
 }
 
-// wedgeWriter stages tuples until the writer goroutine is stuck in a write
-// against the unread pipe and the staging ring is full, then returns the
+// wedgeWriter sends 16 KiB tuples until the writer goroutine is stuck in a
+// write against the unread pipe and the two-block budget is spent — the
+// first tuple the export cannot take is dropped — then returns the
 // template tuple used for pushing.
 func wedgeWriter(t *testing.T, exp *exportOp) *spl.Tuple {
 	t.Helper()
 	tp := spl.AcquireTuple()
 	tp.AcquirePayload(16 << 10)
-	// 4 frames overflow the 64 KiB wire buffer (writer blocks on the pipe);
-	// 2 more fill the capacity-2 ring.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 64 && exp.Dropped() == 0; i++ {
 		exp.Process(0, tp, nil)
-		time.Sleep(5 * time.Millisecond)
+	}
+	if exp.Dropped() == 0 {
+		t.Fatal("64 tuples of 16 KiB never spent a two-block budget")
 	}
 	return tp
 }
@@ -166,7 +166,7 @@ func TestExportDropOnFull(t *testing.T) {
 	send, recv := net.Pipe()
 	defer recv.Close()
 	exp := newExportOp("x")
-	exp.cfg = TransportConfig{RingCapacity: 2, DropOnFull: true}.withDefaults()
+	exp.cfg = TransportConfig{RetransmitBytes: 2 * logBlockBytes, DropOnFull: true}.withDefaults()
 	go handshakeFrom(recv) // net.Pipe writes block until read
 	if err := exp.connect(send, ""); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestExportBoundedBlockingOnFull(t *testing.T) {
 	send, recv := net.Pipe()
 	defer recv.Close()
 	exp := newExportOp("x")
-	exp.cfg = TransportConfig{RingCapacity: 2, BlockTimeout: 120 * time.Millisecond}.withDefaults()
+	exp.cfg = TransportConfig{RetransmitBytes: 2 * logBlockBytes, BlockTimeout: 120 * time.Millisecond}.withDefaults()
 	go handshakeFrom(recv) // net.Pipe writes block until read
 	if err := exp.connect(send, ""); err != nil {
 		t.Fatal(err)
@@ -199,8 +199,9 @@ func TestExportBoundedBlockingOnFull(t *testing.T) {
 	tp := wedgeWriter(t, exp)
 	defer tp.Release()
 
-	// The ring is full and the writer cannot drain: the bounded-blocking
-	// mode must hold the producer for about BlockTimeout, then drop.
+	// The budget is spent and the peer never acknowledges: the
+	// bounded-blocking mode must hold the producer for about BlockTimeout,
+	// then drop.
 	before := exp.Dropped()
 	start := time.Now()
 	exp.Process(0, tp, nil)
@@ -350,8 +351,9 @@ func seqJob(t *testing.T, tuples uint64) (*graph.Graph, *seqSink) {
 // TestStreamNoLossNoDuplication pushes a bounded stream across a PE
 // boundary and verifies exactly-once delivery end to end: every sequence
 // number arrives, none arrives twice, and both ends' counters agree.
-// RACE_PKGS includes this package, so the whole transport (staging ring,
-// writer goroutine, pooled decode, batched import) runs under -race.
+// RACE_PKGS includes this package, so the whole transport (producer-side
+// encode, writer goroutine, reader validation, operator-thread build) runs
+// under -race.
 func TestStreamNoLossNoDuplication(t *testing.T) {
 	const n = 12000
 	g, sink := seqJob(t, n)
@@ -398,11 +400,17 @@ func TestStreamNoLossNoDuplication(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Fatal("no flushes recorded")
 	}
-	var batches uint64
-	for _, c := range st.DrainSizes {
-		batches += c
+	// DrainSizes counts tuples per sealed frame: one sample per frame, and
+	// the samples' log2 buckets bound the tuples they carry.
+	var frames, lo uint64
+	for i, c := range st.DrainSizes {
+		frames += c
+		lo += c << i
 	}
-	if batches == 0 {
-		t.Fatal("no writer batches recorded")
+	if frames != st.WireFrames || frames == 0 {
+		t.Fatalf("frame-size histogram holds %d frames, the stream sealed %d", frames, st.WireFrames)
+	}
+	if lo > st.Sent || 2*lo <= st.Sent-frames {
+		t.Fatalf("frame-size buckets put %d..%d tuples in frames, the stream sent %d", lo, 2*lo, st.Sent)
 	}
 }
