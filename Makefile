@@ -105,10 +105,12 @@ bench-hotpath:
 	$(GO) test -json -run '^$$' -bench 'ContendedFanIn' -benchmem -count=$(BENCH_COUNT) ./internal/exec/ > $(BENCH_HOTPATH_OUT)
 	$(GO) test -json -run '^$$' -bench 'Decode|ExportImport' -benchmem -count=$(BENCH_COUNT) ./internal/pe/ >> $(BENCH_HOTPATH_OUT)
 
-# One-hundred-iteration smoke of the fan-in benches for CI: proves they
-# build and run without panicking, makes no timing claims.
+# One-hundred-iteration smoke of the fan-in benches for CI, plus the tuple
+# free-list bench at 1000 batches: proves they build and run without
+# panicking, makes no timing claims.
 bench-hotpath-smoke:
 	$(GO) test -run '^$$' -bench 'ContendedFanIn' -benchtime 100x -benchmem ./internal/exec/
+	$(GO) test -run '^$$' -bench 'TupleAcquireRelease' -benchtime 1000x -benchmem ./internal/spl/
 
 # bench-obs writes the observability overhead results (instrument
 # microbenchmarks plus the queue-crossing sampling sweep) to

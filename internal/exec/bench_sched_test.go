@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streamelastic/internal/graph"
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -112,7 +113,7 @@ func BenchmarkContendedFanIn(b *testing.B) {
 // engine releasing recyclable inputs mid-graph, the running pipeline must
 // allocate nothing.
 func TestContendedFanInSteadyStateAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	if testing.Short() {

@@ -47,14 +47,16 @@ func TestDrainAndStopTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	// Queue the gate operator: the wedge must show up as scheduler-queue
 	// backlog (inline execution would hide it inside the source goroutine).
+	// The placement lands before Start, so the source never runs the gate
+	// inline and wedges itself where ApplyPlacement's pause would wait on it.
 	place := make([]bool, g.NumNodes())
 	place[gid] = true
 	if err := e.ApplyPlacement(place); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Let the backlog form behind the wedged worker before draining.
@@ -124,6 +126,13 @@ func TestDrainKeepsExemptSources(t *testing.T) {
 	// Drain immediately: a non-exempt source would stop near zero, an
 	// exempt one runs to its bound.
 	e.Drain()
+	// WaitIdle watches the scheduler queues, and this graph has none: it can
+	// report idle while the source is still emitting. Wait for the source's
+	// bound at the sink first.
+	deadline := time.Now().Add(10 * time.Second)
+	for sink.Count() < 2000 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if !e.WaitIdle(10 * time.Second) {
 		t.Fatal("engine never became idle")
 	}

@@ -955,12 +955,14 @@ type emitter struct {
 	// operators emit into. srcProg is the compiled program rooted at this
 	// loop's source (nil off source loops or when the region is not
 	// compiled) and srcBuf the capture buffer Emit diverts source emissions
-	// into until the loop flushes.
+	// into until the loop flushes. held stacks the stateful locks a region
+	// run has taken, released when the run ends.
 	ibuf    []*spl.Tuple
 	rbufs   [2][]*spl.Tuple
 	coll    stageCollector
 	srcProg *regionProgram
 	srcBuf  []*spl.Tuple
+	held    []*sync.Mutex
 }
 
 // newEmitter returns a dispatch-loop emitter with counters defaulted to the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamelastic/internal/graph"
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -71,7 +72,7 @@ func syncCrossingStep(tb testing.TB, g *graph.Graph) func() {
 // tuple-pooling work: once the pools are warm, pushing a tuple across a
 // scheduler queue and through a recyclable sink allocates nothing.
 func TestQueueCrossingSteadyStateAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector")
 	}
 	g, _ := hotChain(t, 0, 256, 0)

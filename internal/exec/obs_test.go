@@ -6,6 +6,7 @@ import (
 
 	"streamelastic/internal/graph"
 	"streamelastic/internal/obs"
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -43,7 +44,7 @@ func syncSamplingStep(tb testing.TB, g *graph.Graph, sampleEvery int) func() {
 // allocates nothing — the stamp, the queue-wait observe, and the operator
 // histogram observe are all plain atomics.
 func TestSampledCrossingAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector")
 	}
 	g, _ := hotChain(t, 0, 256, 0)

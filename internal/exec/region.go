@@ -240,7 +240,24 @@ func (e *Engine) flushSource(em *emitter) {
 // arriving at steps[0] on port. The input slice is consumed; stage outputs
 // ping-pong between the emitter's two scratch buffers, which are reused
 // across batches so the steady state allocates nothing.
+//
+// A stateful step's lock, once taken, is held until the whole run ends and
+// the locks are then released newest-first: the nesting the interpreted
+// path's inline emits produce. Unlocking a step as soon as it filled its
+// stage buffer would let another worker's run pass it and overtake this
+// run's output downstream, interleaving the in-order runs a Reorder
+// releases.
 func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port int) {
+	e.runSteps(em, p, in, port)
+	for i := len(em.held) - 1; i >= 0; i-- {
+		em.held[i].Unlock()
+	}
+	em.held = em.held[:0]
+}
+
+// runSteps is runRegion's body; the stateful locks it takes stay on
+// em.held for runRegion to release.
+func (e *Engine) runSteps(em *emitter, p *regionProgram, in []*spl.Tuple, port int) {
 	ts := em.ts
 	cur := in
 	flip := 0
@@ -277,6 +294,10 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 			}
 		}
 		ts.Enter(int(st.node))
+		if st.mu != nil {
+			st.mu.Lock()
+			em.held = append(em.held, st.mu)
+		}
 		if st.sink {
 			e.runSinkStep(em, st, port, cur)
 			ts.Leave()
@@ -285,9 +306,6 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 		coll := &em.coll
 		coll.want = st.outPort
 		coll.out = em.rbufs[flip][:0]
-		if st.mu != nil {
-			st.mu.Lock()
-		}
 		if st.bop != nil {
 			if e.runStepBatch(st, coll, port, cur) && st.recycle {
 				for _, t := range cur {
@@ -300,9 +318,6 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 					t.Release()
 				}
 			}
-		}
-		if st.mu != nil {
-			st.mu.Unlock()
 		}
 		ts.Leave()
 		em.rbufs[flip] = coll.out
@@ -352,13 +367,10 @@ func (e *Engine) fireStepFaults(em *emitter, st *regionStep, in []*spl.Tuple) []
 
 // runSinkStep runs a terminal step on a batch: one meter add for the whole
 // batch, per-tuple latency/recycle through finishSink. The caller has
-// already entered the profiler state.
+// already entered the profiler state and taken the step's stateful lock.
 func (e *Engine) runSinkStep(em *emitter, st *regionStep, port int, in []*spl.Tuple) {
 	coll := &em.coll
 	coll.want = -1 // a sink's emissions have no consumers
-	if st.mu != nil {
-		st.mu.Lock()
-	}
 	if st.bop != nil {
 		ok := e.runStepBatch(st, coll, port, in)
 		for _, t := range in {
@@ -368,9 +380,6 @@ func (e *Engine) runSinkStep(em *emitter, st *regionStep, port int, in []*spl.Tu
 		for _, t := range in {
 			e.finishSink(st.node, t, e.runStepTuple(st, coll, port, t))
 		}
-	}
-	if st.mu != nil {
-		st.mu.Unlock()
 	}
 	em.sinkMeter.Add(uint64(len(in)))
 }

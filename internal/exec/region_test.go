@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -277,7 +279,7 @@ func syncFusedSourceStep(tb testing.TB, g *graph.Graph, srcBatch int) func() {
 // to the same bar as the queue-crossing guards: capture, flush, every chain
 // stage, and the sink recycle allocate nothing once buffers are warm.
 func TestFusedSourceSteadyStateAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector")
 	}
 	g, _ := buildChainB(t, 4, 0, 0)
@@ -288,6 +290,100 @@ func TestFusedSourceSteadyStateAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(2000, step)
 	if avg > 0.05 {
 		t.Fatalf("compiled source batch allocates %.3f allocs/op, want ~0", avg)
+	}
+}
+
+// passStage is a stateful operator that forwards every tuple and closes
+// passed once the first has gone through.
+type passStage struct {
+	passed chan struct{}
+	once   sync.Once
+}
+
+func (*passStage) Name() string { return "pass" }
+func (*passStage) Stateful()    {}
+
+func (o *passStage) Process(_ int, t *spl.Tuple, em spl.Emitter) {
+	em.Emit(0, t)
+	o.once.Do(func() { close(o.passed) })
+}
+
+// overtakeSink records arrival order. Its first call waits up to 50ms for
+// a later call to record first, so any run that can pass the first one
+// downstream of the stateful step does so deterministically.
+type overtakeSink struct {
+	calls     int
+	mu        sync.Mutex
+	seqs      []uint64
+	overtaken chan struct{}
+}
+
+func (*overtakeSink) Name() string { return "overtake" }
+
+func (o *overtakeSink) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
+	o.mu.Lock()
+	o.calls++
+	first := o.calls == 1
+	if !first {
+		o.seqs = append(o.seqs, t.Seq)
+		close(o.overtaken)
+	}
+	o.mu.Unlock()
+	if !first {
+		return
+	}
+	select {
+	case <-o.overtaken:
+	case <-time.After(50 * time.Millisecond):
+	}
+	o.mu.Lock()
+	o.seqs = append(o.seqs, t.Seq)
+	o.mu.Unlock()
+}
+
+// TestStatefulOutputOrderAcrossRegionRuns runs two compiled-region runs of
+// src -> stateful -> sink on two goroutines, the second starting once the
+// first run's tuple has passed the stateful step. The stateful lock must
+// be held until the first run ends, as on the interpreted path, so the
+// second tuple cannot overtake the first on the way to the sink.
+func TestStatefulOutputOrderAcrossRegionRuns(t *testing.T) {
+	g := graph.New()
+	src := g.AddSource(spl.NewGenerator("src", 8), nil)
+	stage := &passStage{passed: make(chan struct{})}
+	sid := g.AddOperator(stage, nil)
+	sink := &overtakeSink{overtaken: make(chan struct{})}
+	kid := g.AddOperator(sink, nil)
+	for _, c := range [][2]graph.NodeID{{src, sid}, {sid, kid}} {
+		if err := g.Connect(c[0], 0, c[1], 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := e.cfg.Load()
+	if cfg.progs == nil || cfg.progs[src] == nil || cfg.progs[src].steps[0].mu == nil {
+		t.Fatal("no compiled source program with a stateful head step")
+	}
+	p := cfg.progs[src]
+	run := func(seq uint64) {
+		em := e.newEmitter(e.profiler.Register())
+		em.cfg = cfg
+		tp := spl.AcquireTuple()
+		tp.Seq = seq
+		e.runRegion(em, p, []*spl.Tuple{tp}, p.steps[0].inPort)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); run(0) }()
+	go func() { defer wg.Done(); <-stage.passed; run(1) }()
+	wg.Wait()
+	if len(sink.seqs) != 2 || sink.seqs[0] != 0 || sink.seqs[1] != 1 {
+		t.Fatalf("sink order = %v, want [0 1]: the second run overtook the first past the stateful step", sink.seqs)
 	}
 }
 

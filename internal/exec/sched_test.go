@@ -7,6 +7,7 @@ import (
 
 	"streamelastic/internal/graph"
 	"streamelastic/internal/queue"
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -239,7 +240,7 @@ func syncAffinityStep(tb testing.TB, g *graph.Graph) func() {
 // affinity push, steal, owner pop, execute, and sink recycle allocate
 // nothing.
 func TestAffinitySteadyStateAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector")
 	}
 	g, _ := hotChain(t, 0, 256, 0)

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"streamelastic/internal/racebuild"
 )
 
 // allocGuard asserts that step allocates nothing per run, matching the
@@ -10,7 +12,7 @@ import (
 // under the race detector where instrumentation itself allocates.
 func allocGuard(t *testing.T, name string, step func()) {
 	t.Helper()
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("alloc accounting is unreliable under the race detector")
 	}
 	for i := 0; i < 128; i++ {

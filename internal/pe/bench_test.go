@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"streamelastic/internal/racebuild"
 	"streamelastic/internal/spl"
 )
 
@@ -349,7 +350,7 @@ func TestBatchEncodeSteadyStateZeroAlloc(t *testing.T) {
 // TestDecodeSteadyStateZeroAlloc: sync.Pool drops Puts there, and one batch
 // frame cycles writerBatchTuples pooled tuples.
 func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
 	dec := newDecoder(&loopReader{frame: encodedBatchFrame(t, 64)})
@@ -395,7 +396,7 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 // integer averaging hides. The non-race pass and the benchmarks keep the
 // guard honest.
 func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
 	dec := newDecoder(&loopReader{frame: encodedFrame(t, 64)})

@@ -22,6 +22,37 @@ func BenchmarkWorkOp10KFLOPs(b *testing.B) {
 	}
 }
 
+// BenchmarkTupleAcquireRelease measures acquiring and then releasing a
+// batch of 64 tuples (one op), the way an engine thread builds and retires
+// a batch; parallel runs one batch loop per P.
+func BenchmarkTupleAcquireRelease(b *testing.B) {
+	const batch = 64
+	cycle := func(ts *[batch]*Tuple) {
+		for i := range ts {
+			ts[i] = AcquireTuple()
+		}
+		for _, tp := range ts {
+			tp.Release()
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		var ts [batch]*Tuple
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cycle(&ts)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			var ts [batch]*Tuple
+			for pb.Next() {
+				cycle(&ts)
+			}
+		})
+	})
+}
+
 func BenchmarkTupleClone1KB(b *testing.B) {
 	t := &Tuple{Seq: 1, Payload: make([]byte, 1024)}
 	b.ReportAllocs()

@@ -2,7 +2,11 @@ package spl
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
+	_ "unsafe" // for go:linkname
+
+	"streamelastic/internal/racebuild"
 )
 
 // Tuple and payload pooling.
@@ -24,8 +28,15 @@ import (
 //     AcquirePayload) are recycled; buffers merely referenced by a tuple —
 //     such as a Generator's shared payload — are left alone.
 //
-// Releasing a tuple that was never pool-allocated is safe; sync.Pool accepts
-// foreign values. Releasing the same tuple twice is a bug (two later
+// Tuple structs go through a free list per P before sync.Pool. Nearly every
+// tuple is acquired and released on the goroutine that made it (a source, a
+// wire import's frame build, a sink), so a stack indexed by the current P
+// serves it without the CAS sync.Pool pays per Get and Put. An empty stack
+// falls through to Get, a full one to Put, so tuples that cross Ps cost what
+// they did before. Race builds use sync.Pool alone (see internal/racebuild).
+//
+// Releasing a tuple that was never pool-allocated is safe; both free lists
+// accept foreign values. Releasing the same tuple twice is a bug (two later
 // acquires would alias), which is why only the runtime calls Release.
 
 // Payload size classes are powers of two from 64 B to 1 MiB; larger payloads
@@ -37,6 +48,33 @@ const (
 )
 
 var tuplePool = sync.Pool{New: func() any { return new(Tuple) }}
+
+// tupleCacheSize is twice the largest batch one engine thread holds before
+// releasing any of it (a 128-record wire frame), so a batch of releases fits
+// on top of a batch of acquires without spilling.
+const tupleCacheSize = 256
+
+// tupleCache is one P's stack; a cache line of padding keeps neighbouring
+// Ps' counts and slots off each other's lines.
+type tupleCache struct {
+	n     int
+	stack [tupleCacheSize]*Tuple
+	_     [64]byte
+}
+
+// tupleCaches has one stack per P; a P id beyond it (GOMAXPROCS raised at
+// run time) uses sync.Pool alone.
+var tupleCaches = make([]tupleCache, max(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+
+// procPin disables preemption and returns the current P's id, so the caller
+// owns that P's stack until procUnpin. Both are on the runtime's linkname
+// allowlist (go.dev/issue/67401).
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
+
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // payloadPools recycles payload buffers per power-of-two size class. The
 // pools store *[]byte boxes rather than slices so neither Get nor Put
@@ -72,6 +110,18 @@ func payloadClass(n int) int {
 // life, so sources and operators that acquire every emitted tuple run
 // allocation-free in the steady state.
 func AcquireTuple() *Tuple {
+	if !racebuild.Enabled {
+		if pid := procPin(); pid < len(tupleCaches) {
+			if c := &tupleCaches[pid]; c.n > 0 {
+				c.n--
+				t := c.stack[c.n]
+				c.stack[c.n] = nil
+				procUnpin()
+				return t
+			}
+		}
+		procUnpin()
+	}
 	return tuplePool.Get().(*Tuple)
 }
 
@@ -109,6 +159,17 @@ func (t *Tuple) Release() {
 		t.arena.Release()
 	}
 	*t = Tuple{}
+	if !racebuild.Enabled {
+		if pid := procPin(); pid < len(tupleCaches) {
+			if c := &tupleCaches[pid]; c.n < tupleCacheSize {
+				c.stack[c.n] = t
+				c.n++
+				procUnpin()
+				return
+			}
+		}
+		procUnpin()
+	}
 	tuplePool.Put(t)
 }
 

@@ -1,6 +1,12 @@
 package spl
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"streamelastic/internal/racebuild"
+)
 
 func TestPayloadClassBoundaries(t *testing.T) {
 	cases := []struct {
@@ -107,7 +113,7 @@ func TestCloneReleaseSteadyStateAllocFree(t *testing.T) {
 // the runtime releases its input afterwards, so one full input-clone ->
 // expand -> release-everything cycle must draw entirely from the pools.
 func TestExpandCycleSteadyStateAllocFree(t *testing.T) {
-	if raceDetectorEnabled {
+	if racebuild.Enabled {
 		t.Skip("race-mode sync.Pool drops Puts; guard runs without -race")
 	}
 	x := NewExpand("x", 8)
@@ -126,5 +132,179 @@ func TestExpandCycleSteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(2000, cycle); avg > 0.05 {
 		t.Fatalf("expand cycle allocates %.3f allocs/op, want ~0", avg)
+	}
+}
+
+// zeroed reports whether tp is the zero tuple AcquireTuple must hand out.
+func zeroed(tp *Tuple) bool {
+	return tp.Seq == 0 && tp.Key == 0 && tp.Time == 0 && tp.Text == "" && tp.Num1 == 0 &&
+		tp.Num2 == 0 && tp.Payload == nil && tp.payloadBox == nil && tp.arena == nil
+}
+
+// TestTupleCacheReuseOnOneP pins the per-P cache's fast path: with one P,
+// a released tuple is the next one acquired, zeroed.
+func TestTupleCacheReuseOnOneP(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race builds compile the per-P tuple cache out")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tp := AcquireTuple()
+	tp.Seq, tp.Text = 5, "x"
+	tp.AcquirePayload(100)
+	tp.Release()
+	got := AcquireTuple()
+	defer got.Release()
+	if got != tp {
+		t.Fatal("acquire after release on one P did not reuse the released tuple")
+	}
+	if !zeroed(got) {
+		t.Fatalf("reused tuple not zeroed: %+v", got)
+	}
+}
+
+// TestTupleCacheSpillsWithoutAliasing releases three stacks' worth of
+// distinct tuples on one P, so two thirds spill past its stack into
+// sync.Pool, and requires the acquires that follow to hand each tuple out
+// at most once.
+func TestTupleCacheSpillsWithoutAliasing(t *testing.T) {
+	const n = 3 * tupleCacheSize
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tp := range acquireN(n) {
+		tp.Seq = 1
+		tp.Release()
+	}
+	seen := make(map[*Tuple]bool, n)
+	got := acquireN(n)
+	for _, tp := range got {
+		if seen[tp] {
+			t.Fatal("one tuple handed out twice")
+		}
+		seen[tp] = true
+		if !zeroed(tp) {
+			t.Fatalf("acquired tuple not zeroed: %+v", tp)
+		}
+	}
+	for _, tp := range got {
+		tp.Release()
+	}
+}
+
+func acquireN(n int) []*Tuple {
+	ts := make([]*Tuple, n)
+	for i := range ts {
+		ts[i] = AcquireTuple()
+	}
+	return ts
+}
+
+// churnExclusive runs workers goroutines that acquire batches of varying
+// size (up to past one stack), stamp each tuple with their owner token,
+// yield, and check every stamp is still theirs before releasing — so a
+// tuple held by two goroutines at once fails the test. Every batch also
+// hands one tuple to another goroutine through a channel, which checks and
+// releases it, so tuples change P as well.
+func churnExclusive(t *testing.T, workers, rounds int) {
+	t.Helper()
+	handoff := make(chan *Tuple, workers)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var failure string
+	fail := func(msg string) {
+		mu.Lock()
+		if failure == "" {
+			failure = msg
+		}
+		mu.Unlock()
+	}
+	check := func(tp *Tuple) {
+		if tp.Key == 0 || tp.Num1 != float64(tp.Key) {
+			fail("a handed-off tuple's stamp changed while it was held")
+		}
+		tp.Release()
+	}
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(owner uint64) {
+			defer wg.Done()
+			batch := make([]*Tuple, 0, tupleCacheSize+64)
+			for r := 0; r < rounds; r++ {
+				batch = batch[:0]
+				for i := 0; i < 1+(r*37+int(owner)*11)%cap(batch); i++ {
+					tp := AcquireTuple()
+					if !zeroed(tp) {
+						fail("acquired a tuple that was not zeroed (held elsewhere)")
+					}
+					tp.Key, tp.Num1 = owner, float64(owner)
+					batch = append(batch, tp)
+				}
+				runtime.Gosched()
+				for _, tp := range batch[1:] {
+					if tp.Key != owner || tp.Num1 != float64(owner) {
+						fail("a tuple's owner stamp changed while it was held")
+					}
+					tp.Release()
+				}
+				select {
+				case handoff <- batch[0]:
+				default:
+					check(batch[0])
+				}
+				select {
+				case tp := <-handoff:
+					check(tp)
+				default:
+				}
+			}
+		}(uint64(w))
+	}
+	wg.Wait()
+	close(handoff)
+	for tp := range handoff {
+		check(tp)
+	}
+	if failure != "" {
+		t.Fatal(failure)
+	}
+}
+
+// TestTupleCacheExclusiveAcrossGoroutines checks no tuple is ever held
+// twice while goroutines churn the per-P stacks at several P counts.
+func TestTupleCacheExclusiveAcrossGoroutines(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		churnExclusive(t, 8, 200)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestTupleCacheGOMAXPROCSBeyondTable raises GOMAXPROCS past the table
+// sized at init: Ps without a stack must fall back to sync.Pool, neither
+// indexing out of range nor aliasing tuples.
+func TestTupleCacheGOMAXPROCSBeyondTable(t *testing.T) {
+	procs := len(tupleCaches) + 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	churnExclusive(t, 2*procs, 100)
+}
+
+// TestTupleCacheSteadyStateAllocFree guards the acquire/release cycle of a
+// 64-tuple batch: once warm it draws everything from the free lists.
+func TestTupleCacheSteadyStateAllocFree(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race-mode sync.Pool drops Puts; guard runs without -race")
+	}
+	var batch [64]*Tuple
+	cycle := func() {
+		for i := range batch {
+			batch[i] = AcquireTuple()
+		}
+		for _, tp := range batch {
+			tp.Release()
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg > 0.05 {
+		t.Fatalf("64-tuple acquire/release batch allocates %.3f allocs/op, want ~0", avg)
 	}
 }

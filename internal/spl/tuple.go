@@ -52,14 +52,12 @@ type Tuple struct {
 // by the producing thread. The clone's struct and payload buffer come from
 // the tuple pool; recycle them with Release when the clone's life ends.
 func (t *Tuple) Clone() *Tuple {
-	c := tuplePool.Get().(*Tuple)
+	c := AcquireTuple()
 	c.Seq, c.Key, c.Time = t.Seq, t.Key, t.Time
 	c.Text, c.Num1, c.Num2 = t.Text, t.Num1, t.Num2
 	if n := len(t.Payload); n > 0 {
 		c.AcquirePayload(n)
 		copy(c.Payload, t.Payload)
-	} else {
-		c.Payload, c.payloadBox = nil, nil
 	}
 	return c
 }
