@@ -128,10 +128,14 @@ bench-obs:
 bench-ckpt:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -count=5 ./internal/exec/ > $(BENCH_CKPT_OUT)
 
-# One-iteration smoke of the checkpoint benches for CI: proves they run,
-# makes no timing claims.
+# One-iteration smoke of the checkpoint benches for CI, plus the keyed
+# state update benches (the counter in its keyed_ckpt and resize_bulk
+# shapes, and the tracked Map.Ref) at a fixed 100000 iterations: proves
+# they run, makes no timing claims.
 bench-ckpt-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchtime 1x -benchmem ./internal/exec/
+	$(GO) test -run '^$$' -bench '^BenchmarkKeyedCounter$$' -benchtime 100000x -benchmem ./internal/spl/
+	$(GO) test -run '^$$' -bench '^BenchmarkMapRef$$' -benchtime 100000x -benchmem ./internal/state/
 
 # bench-fused writes the region-compilation results to
 # $(BENCH_FUSED_OUT): BenchmarkManualChain fused/depth=4 and 16, 0 allocs/op;

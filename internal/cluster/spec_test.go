@@ -12,13 +12,13 @@ func TestParseWidthSpec(t *testing.T) {
 		{in: "2:8:2", want: WidthSpec{Min: 2, Max: 8, Step: 2, Desired: 8}},
 		{in: "2:8:2:4", want: WidthSpec{Min: 2, Max: 8, Step: 2, Desired: 4}},
 		{in: "1:1", want: WidthSpec{Min: 1, Max: 1, Step: 1, Desired: 1}},
-		{in: "4:2", err: true},          // max < min
-		{in: "0:4", err: true},          // min < 1
-		{in: "2:5:2", err: true},        // max unreachable by step
-		{in: "2:8:2:3", err: true},      // desired off the step grid
-		{in: "2", err: true},            // too few fields
-		{in: "2:4:1:2:9", err: true},    // too many fields
-		{in: "two:4", err: true},        // not a number
+		{in: "4:2", err: true},       // max < min
+		{in: "0:4", err: true},       // min < 1
+		{in: "2:5:2", err: true},     // max unreachable by step
+		{in: "2:8:2:3", err: true},   // desired off the step grid
+		{in: "2", err: true},         // too few fields
+		{in: "2:4:1:2:9", err: true}, // too many fields
+		{in: "two:4", err: true},     // not a number
 	}
 	for _, c := range cases {
 		got, err := ParseWidthSpec(c.in)

@@ -1,8 +1,11 @@
 package spl
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+
+	"streamelastic/internal/state"
 )
 
 func BenchmarkWorkOp100FLOPs(b *testing.B) {
@@ -79,11 +82,54 @@ func BenchmarkTokenize(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyedCounter runs the counter in the shapes of the end-to-end
+// workloads that use it: keyed_ckpt (2^16 Zipf 1.1 keys, window 2^16,
+// tracking on, an incremental cut every 2^16 tuples) and resize_bulk (64
+// uniform keys, window 64, untracked). Both emit on every tuple, reuse one
+// input tuple and release what they emit, and start with a full window.
 func BenchmarkKeyedCounter(b *testing.B) {
-	k := NewKeyedCounter("agg", 4096, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Process(0, &Tuple{Key: uint64(i % 64)}, DiscardEmitter)
+	for _, c := range []struct {
+		name         string
+		keys, window int
+		zipf         float64
+		cutEvery     int
+	}{
+		{"keyed_ckpt", 1 << 16, 1 << 16, 1.1, 1 << 16},
+		{"resize_bulk", 64, 64, 0, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			zipf := rand.NewZipf(rng, max(c.zipf, 1.01), 1, uint64(c.keys-1))
+			stream := make([]uint64, 1<<18)
+			for i := range stream {
+				if c.zipf > 0 {
+					stream[i] = zipf.Uint64()
+				} else {
+					stream[i] = uint64(rng.Intn(c.keys))
+				}
+			}
+			k := NewKeyedCounter("agg", c.window, 1)
+			k.StateTrack(c.cutEvery > 0)
+			release := EmitterFunc(func(_ int, t *Tuple) { t.Release() })
+			var enc state.Encoder
+			tup := &Tuple{}
+			step := func(i int) {
+				tup.Key = stream[i&(len(stream)-1)]
+				k.Process(0, tup, release)
+				if c.cutEvery > 0 && (i+1)%c.cutEvery == 0 {
+					enc.Reset()
+					k.StateSnapshot(&enc, false)
+				}
+			}
+			for i := 0; i < 2*c.window; i++ {
+				step(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+		})
 	}
 }
 

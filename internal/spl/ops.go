@@ -387,29 +387,38 @@ func (k *KeyedCounter) Reset() {
 }
 
 // Process slides the window by t and emits the key's current count every
-// emitEvery tuples.
+// emitEvery tuples. The evicted key's count drops through one Ref (the key
+// is deleted when it reaches 0) and the arriving key's rises through
+// another; when the two keys are the same, no count changes and neither
+// is touched.
 func (k *KeyedCounter) Process(_ int, t *Tuple, out Emitter) {
 	k.mu.Lock()
-	cur := k.cursor.Get()
-	if cur.filled {
-		old := cur.ring[cur.pos]
-		if c, _ := k.counts.Get(old); c-1 <= 0 {
-			k.counts.Delete(old)
-		} else {
-			k.counts.Put(old, c-1)
-		}
-	}
+	cur := k.cursor.Ref()
+	old, evict := cur.ring[cur.pos], cur.filled
 	cur.ring[cur.pos] = t.Key
 	cur.pos++
 	if cur.pos == k.window {
 		cur.pos, cur.filled = 0, true
 	}
-	c, _ := k.counts.Get(t.Key)
-	count := c + 1
-	k.counts.Put(t.Key, count)
 	cur.seen++
 	emit := k.emitEvery > 0 && cur.seen%k.emitEvery == 0
-	k.cursor.Set(cur)
+	var count int64
+	if evict && old == t.Key {
+		if emit {
+			count, _ = k.counts.Get(t.Key)
+		}
+	} else {
+		if evict {
+			if c := k.counts.Ref(old); *c > 1 {
+				*c--
+			} else {
+				k.counts.Delete(old)
+			}
+		}
+		c := k.counts.Ref(t.Key)
+		*c++
+		count = *c
+	}
 	k.mu.Unlock()
 	if emit {
 		agg := AcquireTuple()

@@ -93,8 +93,12 @@ func TestTimeWindowSnapshotRoundTrip(t *testing.T) {
 		dst.Process(0, &tb, eb)
 	}
 	key := func(x *Tuple) [2]int64 { return [2]int64{x.Time, int64(x.Key)} }
-	sort.Slice(a, func(i, j int) bool { return key(a[i]) != key(a[j]) && (a[i].Time < a[j].Time || (a[i].Time == a[j].Time && a[i].Key < a[j].Key)) })
-	sort.Slice(b, func(i, j int) bool { return key(b[i]) != key(b[j]) && (b[i].Time < b[j].Time || (b[i].Time == b[j].Time && b[i].Key < b[j].Key)) })
+	sort.Slice(a, func(i, j int) bool {
+		return key(a[i]) != key(a[j]) && (a[i].Time < a[j].Time || (a[i].Time == a[j].Time && a[i].Key < a[j].Key))
+	})
+	sort.Slice(b, func(i, j int) bool {
+		return key(b[i]) != key(b[j]) && (b[i].Time < b[j].Time || (b[i].Time == b[j].Time && b[i].Key < b[j].Key))
+	})
 	if len(a) != len(b) {
 		t.Fatalf("src closed %d windows, dst %d", len(a), len(b))
 	}

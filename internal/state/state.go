@@ -1,5 +1,7 @@
 package state
 
+import "math/rand/v2"
+
 // Snapshotter is implemented by operators that expose checkpointable keyed
 // state. The checkpoint coordinator calls these under the engine's pause
 // barrier, so implementations see no concurrent Process calls; they still
@@ -45,97 +47,192 @@ func mix(k uint64) uint64 {
 	return k
 }
 
-// u64set is an open-addressed hash set of keys, used for the per-range
-// dirty sets. A tracked Put already computed mix(k) to pick the range, so
-// add reuses that hash (high bits — the low bits are shared by every key
-// in a range) and costs one probe chain instead of a second full Go-map
-// insert, which is what keeps checkpoint tracking cheap on the hot path.
-// Key 0 is held out-of-band so 0 can mean "empty slot". The zero value is
-// ready to use; slots allocate lazily on the first add.
-type u64set struct {
-	slots []uint64
-	n     int
-	zero  bool
+// Slot states. Key 0 lives outside the table, in mapRange.zero, where
+// stEmpty means absent; a table slot whose key is 0 is empty.
+const (
+	stEmpty uint8 = iota
+	stClean       // present, unchanged since the last cut
+	stDirty       // present, written since the last cut
+	stDead        // deleted since the last cut: a tombstone, absent to readers
+)
+
+// slot is one table entry: a key, its value and its dirty state.
+type slot[V any] struct {
+	key   uint64
+	state uint8
+	val   V
 }
 
-func (s *u64set) add(k, h uint64) {
+func (s *slot[V]) present() bool { return s.state == stClean || s.state == stDirty }
+
+// mapRange is one key range: an open-addressed table with linear probing,
+// load <= 3/4 and backward-shift deletion. The dirty state lives in the
+// slot, so a tracked write costs no probe beyond the one that finds the
+// key; marked lists each dirty or dead slot's key once, in the order the
+// keys were first marked since the last cut.
+type mapRange[V any] struct {
+	slots  []slot[V] // power-of-two length once the first key arrives
+	zero   slot[V]   // key 0
+	used   int       // occupied table slots, dead ones included
+	live   int       // keys present, key 0 included
+	marked []uint64
+	seed   uint64
+}
+
+// find returns k's slot, dead or alive, or nil. h is mix(k ^ seed).
+func (r *mapRange[V]) find(k, h uint64) *slot[V] {
 	if k == 0 {
-		if !s.zero {
-			s.zero = true
-			s.n++
+		if r.zero.state == stEmpty {
+			return nil
 		}
+		return &r.zero
+	}
+	if r.slots == nil {
+		return nil
+	}
+	mask := uint64(len(r.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch r.slots[i].key {
+		case k:
+			return &r.slots[i]
+		case 0:
+			return nil
+		}
+	}
+}
+
+// claim returns k's slot, taking an empty one (state stEmpty) when k has
+// none and growing the table to keep its load at or under 3/4.
+func (r *mapRange[V]) claim(k, h uint64) *slot[V] {
+	if k == 0 {
+		return &r.zero
+	}
+	if r.slots != nil {
+		mask := uint64(len(r.slots) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			s := &r.slots[i]
+			if s.key == k {
+				return s
+			}
+			if s.key == 0 {
+				if 4*(r.used+1) <= 3*len(r.slots) {
+					s.key = k
+					r.used++
+					return s
+				}
+				break
+			}
+		}
+	}
+	r.grow()
+	r.used++
+	return r.place(k, h)
+}
+
+// place stores k, known to be absent, in the first free slot of its probe
+// run.
+func (r *mapRange[V]) place(k, h uint64) *slot[V] {
+	mask := uint64(len(r.slots) - 1)
+	i := h & mask
+	for r.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	r.slots[i].key = k
+	return &r.slots[i]
+}
+
+func (r *mapRange[V]) grow() {
+	old := r.slots
+	r.slots = make([]slot[V], max(8, 2*len(old)))
+	for i := range old {
+		if k := old[i].key; k != 0 {
+			*r.place(k, mix(k^r.seed)) = old[i]
+		}
+	}
+}
+
+// remove drops k's slot, if it has one, and closes the gap by shifting
+// later entries of the probe run back, so the table needs no tombstones
+// of its own.
+func (r *mapRange[V]) remove(k, h uint64) {
+	if k == 0 {
+		if r.zero.present() {
+			r.live--
+		}
+		r.zero = slot[V]{}
 		return
 	}
-	if len(s.slots) == 0 {
-		s.slots = make([]uint64, 16)
-	} else if 2*(s.n+1) > len(s.slots) {
-		s.grow()
+	if r.slots == nil {
+		return
 	}
-	mask := uint64(len(s.slots) - 1)
-	i := (h >> 32) & mask
-	for {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = k
-			s.n++
-			return
-		case k:
+	mask := uint64(len(r.slots) - 1)
+	i := h & mask
+	for r.slots[i].key != k {
+		if r.slots[i].key == 0 {
 			return
 		}
 		i = (i + 1) & mask
 	}
-}
-
-func (s *u64set) grow() {
-	old := s.slots
-	s.slots = make([]uint64, 2*len(old))
-	mask := uint64(len(s.slots) - 1)
-	for _, k := range old {
-		if k == 0 {
-			continue
-		}
-		i := (mix(k) >> 32) & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = k
+	if r.slots[i].present() {
+		r.live--
 	}
+	r.used--
+	for j := (i + 1) & mask; r.slots[j].key != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i only if i lies between its
+		// home slot and j, or lookups from its home would stop at the hole.
+		if home := mix(r.slots[j].key^r.seed) & mask; (j-home)&mask >= (j-i)&mask {
+			r.slots[i] = r.slots[j]
+			i = j
+		}
+	}
+	r.slots[i] = slot[V]{}
 }
 
-func (s *u64set) len() int { return s.n }
-
-func (s *u64set) clear() {
-	if s.n == 0 {
+// write readies s for a new value: present, and dirty when tracking.
+func (r *mapRange[V]) write(s *slot[V], track bool) {
+	if !s.present() {
+		r.live++
+	}
+	if !track {
+		if s.state == stEmpty {
+			s.state = stClean
+		}
 		return
 	}
-	clear(s.slots)
-	s.n = 0
-	s.zero = false
+	if s.state == stEmpty || s.state == stClean {
+		r.marked = append(r.marked, s.key)
+	}
+	s.state = stDirty
 }
 
-// each calls fn for every key in the set. Order is unspecified but
-// deterministic for a given insertion history.
-func (s *u64set) each(fn func(k uint64)) {
-	if s.zero {
-		fn(0)
+// kill turns s into a tombstone recorded for the next cut.
+func (r *mapRange[V]) kill(s *slot[V]) {
+	if s.state == stDead {
+		return
 	}
-	for _, k := range s.slots {
-		if k != 0 {
-			fn(k)
-		}
+	if s.present() {
+		r.live--
 	}
+	if s.state != stDirty {
+		r.marked = append(r.marked, s.key)
+	}
+	var zero V
+	s.state, s.val = stDead, zero
 }
 
-type mapRange[V any] struct {
-	data  map[uint64]V
-	dirty u64set
+// reset drops every key and mark without recording tombstones.
+func (r *mapRange[V]) reset() {
+	clear(r.slots)
+	r.zero = slot[V]{}
+	r.used, r.live = 0, 0
+	r.marked = r.marked[:0]
 }
 
 // Map is a per-key state map partitioned into power-of-two key ranges.
-// The partitioning gives checkpoints and future key migration a stable
+// The partitioning gives checkpoints and key migration a stable
 // range-addressable unit (Elasticutor's "move keys, not operators"), and
-// the per-range dirty sets make incremental snapshots cheap: a snapshot
-// only walks keys written since the last one.
+// the dirty state kept in each slot makes incremental snapshots cheap: a
+// snapshot only walks keys written since the last one.
 //
 // Map is not internally synchronized; the owning operator's mutex (the
 // Stateful contract) covers it.
@@ -158,38 +255,53 @@ func NewMap[V any](ranges int, encV func(*Encoder, V), decV func(*Decoder) V) *M
 		n <<= 1
 	}
 	m := &Map[V]{ranges: make([]mapRange[V], n), mask: uint64(n - 1), encV: encV, decV: decV}
+	seed := rand.Uint64()
 	for i := range m.ranges {
-		m.ranges[i].data = make(map[uint64]V)
+		m.ranges[i].seed = seed
 	}
 	return m
 }
 
-func (m *Map[V]) rangeOf(k uint64) *mapRange[V] { return &m.ranges[mix(k)&m.mask] }
+// locate returns k's range and slot hash. The range comes from the
+// unseeded mix(k), so a key falls in the same range in every instance:
+// ranges are what migration moves. The slot hash is seeded per Map, as Go
+// maps are, so keys from outside the program cannot be crafted to collide.
+func (m *Map[V]) locate(k uint64) (*mapRange[V], uint64) {
+	r := &m.ranges[mix(k)&m.mask]
+	return r, mix(k ^ r.seed)
+}
 
 // Get returns the value for k.
 func (m *Map[V]) Get(k uint64) (V, bool) {
-	v, ok := m.rangeOf(k).data[k]
-	return v, ok
+	r, h := m.locate(k)
+	if s := r.find(k, h); s != nil && s.present() {
+		return s.val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref returns a pointer to k's value for an update in place, inserting the
+// zero value when k is absent and marking k dirty when tracking is on. The
+// pointer is valid until the next call that mutates the map.
+func (m *Map[V]) Ref(k uint64) *V {
+	r, h := m.locate(k)
+	s := r.claim(k, h)
+	r.write(s, m.track)
+	return &s.val
 }
 
 // Put stores v under k, marking the key dirty when tracking is on.
-func (m *Map[V]) Put(k uint64, v V) {
-	h := mix(k)
-	r := &m.ranges[h&m.mask]
-	r.data[k] = v
-	if m.track {
-		r.dirty.add(k, h)
-	}
-}
+func (m *Map[V]) Put(k uint64, v V) { *m.Ref(k) = v }
 
-// Delete removes k. When tracking is on the deletion is remembered so the
-// next incremental snapshot emits a tombstone.
+// Delete removes k. When tracking is on the key stays behind as a
+// tombstone, so the next incremental snapshot carries the deletion.
 func (m *Map[V]) Delete(k uint64) {
-	h := mix(k)
-	r := &m.ranges[h&m.mask]
-	delete(r.data, k)
+	r, h := m.locate(k)
 	if m.track {
-		r.dirty.add(k, h)
+		r.kill(r.claim(k, h))
+	} else {
+		r.remove(k, h)
 	}
 }
 
@@ -197,7 +309,7 @@ func (m *Map[V]) Delete(k uint64) {
 func (m *Map[V]) Len() int {
 	n := 0
 	for i := range m.ranges {
-		n += len(m.ranges[i].data)
+		n += m.ranges[i].live
 	}
 	return n
 }
@@ -206,7 +318,7 @@ func (m *Map[V]) Len() int {
 func (m *Map[V]) DirtyLen() int {
 	n := 0
 	for i := range m.ranges {
-		n += m.ranges[i].dirty.len()
+		n += len(m.ranges[i].marked)
 	}
 	return n
 }
@@ -218,17 +330,21 @@ func (m *Map[V]) RangeCount() int { return len(m.ranges) }
 func (m *Map[V]) RangeLens() []int {
 	out := make([]int, len(m.ranges))
 	for i := range m.ranges {
-		out[i] = len(m.ranges[i].data)
+		out[i] = m.ranges[i].live
 	}
 	return out
 }
 
 // Range calls fn for every key until fn returns false. Iteration order is
-// unspecified.
+// unspecified; fn must not mutate the map.
 func (m *Map[V]) Range(fn func(k uint64, v V) bool) {
 	for i := range m.ranges {
-		for k, v := range m.ranges[i].data {
-			if !fn(k, v) {
+		r := &m.ranges[i]
+		if r.zero.present() && !fn(0, r.zero.val) {
+			return
+		}
+		for j := range r.slots {
+			if s := &r.slots[j]; s.present() && !fn(s.key, s.val) {
 				return
 			}
 		}
@@ -241,78 +357,91 @@ func (m *Map[V]) Range(fn func(k uint64, v V) bool) {
 func (m *Map[V]) Clear() {
 	for i := range m.ranges {
 		r := &m.ranges[i]
-		if m.track {
-			for k := range r.data {
-				r.dirty.add(k, mix(k))
+		if !m.track {
+			r.reset()
+			continue
+		}
+		if r.zero.present() {
+			r.kill(&r.zero)
+		}
+		for j := range r.slots {
+			if r.slots[j].present() {
+				r.kill(&r.slots[j])
 			}
 		}
-		clear(r.data)
-	}
-}
-
-// wipe drops all keys and dirty marks without recording tombstones; used
-// by full restores, whose result matches the durable state by definition.
-func (m *Map[V]) wipe() {
-	for i := range m.ranges {
-		clear(m.ranges[i].data)
-		m.ranges[i].dirty.clear()
 	}
 }
 
 // Track switches dirty-key tracking on or off. Turning it on starts with
-// an empty dirty set: the caller is expected to take a full snapshot
-// first.
+// nothing dirty: the caller is expected to take a full snapshot first.
 func (m *Map[V]) Track(on bool) {
 	m.track = on
 	if !on {
 		for i := range m.ranges {
-			m.ranges[i].dirty.clear()
+			m.settle(&m.ranges[i], nil)
 		}
 	}
 }
 
+// settle ends a cut of r: for each marked key it writes the value or a
+// tombstone to enc when enc is non-nil, then removes dead slots, cleans
+// dirty ones and empties the marked list.
+func (m *Map[V]) settle(r *mapRange[V], enc *Encoder) {
+	for _, k := range r.marked {
+		h := mix(k ^ r.seed)
+		s := r.find(k, h)
+		live := s.state == stDirty
+		if enc != nil {
+			enc.Uvarint(k)
+			enc.Bool(live) // the presence byte
+			if live {
+				m.encV(enc, s.val)
+			}
+		}
+		if live {
+			s.state = stClean
+		} else {
+			r.remove(k, h)
+		}
+	}
+	r.marked = r.marked[:0]
+}
+
 // Snapshot encodes either the full map or only dirty keys into enc and
-// clears the dirty set. Each entry is key + presence byte + value;
+// clears the dirty marks. Each entry is key + presence byte + value;
 // presence 0 is a tombstone (incremental only). Returns entries written.
 func (m *Map[V]) Snapshot(enc *Encoder, full bool) int {
-	n := 0
-	if full {
-		enc.Uvarint(uint64(m.Len()))
+	if !full {
+		n := m.DirtyLen()
+		enc.Uvarint(uint64(n))
 		for i := range m.ranges {
-			for k, v := range m.ranges[i].data {
-				enc.Uvarint(k)
-				enc.Byte(1)
-				m.encV(enc, v)
-				n++
-			}
-			m.ranges[i].dirty.clear()
+			m.settle(&m.ranges[i], enc)
 		}
 		return n
 	}
-	enc.Uvarint(uint64(m.DirtyLen()))
+	n := m.Len()
+	enc.Uvarint(uint64(n))
+	m.Range(func(k uint64, v V) bool {
+		enc.Uvarint(k)
+		enc.Byte(1)
+		m.encV(enc, v)
+		return true
+	})
 	for i := range m.ranges {
-		r := &m.ranges[i]
-		r.dirty.each(func(k uint64) {
-			enc.Uvarint(k)
-			if v, ok := r.data[k]; ok {
-				enc.Byte(1)
-				m.encV(enc, v)
-			} else {
-				enc.Byte(0)
-			}
-			n++
-		})
-		r.dirty.clear()
+		m.settle(&m.ranges[i], nil)
 	}
 	return n
 }
 
 // Restore applies a snapshot. A full restore clears the map first; an
 // incremental one merges entries and applies tombstones. Restored entries
-// are not marked dirty (they match the durable state by construction).
+// are not marked dirty (they match the durable state by construction),
+// and keys already marked stay marked.
 func (m *Map[V]) Restore(dec *Decoder, full bool) error {
 	if full {
-		m.wipe()
+		for i := range m.ranges {
+			m.ranges[i].reset()
+		}
 	}
 	count := dec.Uvarint()
 	for i := uint64(0); i < count && dec.Err() == nil; i++ {
@@ -321,15 +450,26 @@ func (m *Map[V]) Restore(dec *Decoder, full bool) error {
 		if dec.Err() != nil {
 			break
 		}
-		if present != 0 {
-			v := m.decV(dec)
-			if dec.Err() != nil {
-				break
+		if present == 0 {
+			r, h := m.locate(k)
+			switch s := r.find(k, h); {
+			case s == nil:
+			case s.state == stClean:
+				r.remove(k, h)
+			default:
+				r.kill(s)
 			}
-			m.rangeOf(k).data[k] = v
-		} else {
-			delete(m.rangeOf(k).data, k)
+			continue
 		}
+		v := m.decV(dec)
+		if dec.Err() != nil {
+			break
+		}
+		r, h := m.locate(k)
+		s := r.claim(k, h)
+		// Only a tombstone, already marked, comes back dirty.
+		r.write(s, s.state == stDead)
+		s.val = v
 	}
 	return dec.Err()
 }
@@ -358,6 +498,13 @@ func (c *Cell[V]) Set(v V) {
 	if c.track {
 		c.dirty = true
 	}
+}
+
+// Ref returns a pointer to the value for an update in place, marking the
+// cell dirty when tracking is on.
+func (c *Cell[V]) Ref() *V {
+	c.dirty = c.dirty || c.track
+	return &c.v
 }
 
 // Track switches dirty tracking on or off.
