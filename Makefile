@@ -162,13 +162,15 @@ bench-wire:
 	$(GO) test -json -run '^$$' -bench 'ExportImport$$|ExportImportPerTupleFlush$$|BenchmarkEncodeSteadyState$$|BenchmarkDecodeSteadyState$$' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
 
 # One-hundred-iteration smoke of the wire benches for CI: proves they build
-# and run, makes no timing claims. The small-payload wire rows then run at
-# 5000x, past the 4096-tuple volume where BenchmarkExportImportWire checks
-# that per-tuple Process calls share frames (WireFrames < Sent) — the check
-# a one-frame-per-tuple regression fails.
+# and run, makes no timing claims. The small-payload wire rows and the 1 KiB
+# bulk row then run at 5000x, past the 4096-tuple volume where
+# BenchmarkExportImportWire checks that per-tuple Process calls share frames
+# (WireFrames < Sent) — the check a one-frame-per-tuple regression fails —
+# and, on the bulk row, across many block-room frame cuts and receive-chunk
+# edges (5000 1 KiB tuples are about twenty 256 KiB chunks).
 bench-wire-smoke:
 	$(GO) test -run '^$$' -bench 'ExportImportWire|BatchEncodeSteadyState|BatchDecodeSteadyState' -benchtime 100x -benchmem ./internal/pe/
-	$(GO) test -run '^$$' -bench 'ExportImportWire/wire=batch/payload=(16|64)$$' -benchtime 5000x ./internal/pe/
+	$(GO) test -run '^$$' -bench 'ExportImportWire/wire=batch/payload=(16|64|1024)$$' -benchtime 5000x ./internal/pe/
 
 # benchstat diffs two committed BENCH_*.json artifacts with the stdlib-only
 # in-repo tool (averages repeated runs, marks better/worse per unit):

@@ -6,12 +6,10 @@
 package pe
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 
 	"streamelastic/internal/spl"
 )
@@ -33,12 +31,13 @@ const batchFrameFlag = uint32(1) << 31
 //	            and dedups by — distinct from the application Tuple.Seq; tuple
 //	            i carries baseSeq+i implicitly)
 //	u32 count (tuples in the batch, 1..maxBatchTuples)
-//	count zigzag-varint record lengths, each a delta from the previous
-//	      record's length (the first from 0) — uniform tuples cost 1 byte
-//	      for the first and 1 zero byte per subsequent tuple
 //	count records, concatenated; each record is:
 //	      u64 seq, u64 key, i64 time, f64 num1, f64 num2,
 //	      u32 textLen, text bytes, u32 payloadLen, payload bytes
+//
+// A record delimits itself through its two length fields at fixed offsets,
+// so the frame carries no length table: the export encodes each record
+// straight into its block log and the importer walks them in place.
 const (
 	batchHeaderBytes = 8 + 4
 	batchRecordFixed = 8 + 8 + 8 + 8 + 8 + 4 + 4
@@ -49,22 +48,11 @@ const (
 // bound is generous.
 const maxBatchTuples = 1024
 
-// batchTargetBytes is the soft body-size target the export seals its open
-// frame at: one log block minus the length prefix, so a full
-// frame fills exactly one pooled block. Frame-overhead amortization
-// saturates after a few dozen records, but the costs that scale with frame
-// size keep growing: the importer materializes a whole frame into one arena
-// block before any tuple is built, and a frame larger than a log block
-// needs a dedicated one — so bulk tuples (16 KiB payloads) in
-// maxFrameBytes-sized chunks turn into multi-MiB blocks that thrash the
-// size-class pools and stall acks. A single tuple larger than the target
-// still gets its own frame (the hard bound stays maxFrameBytes); the target
-// only stops *more* tuples from piling into an already-large frame.
-const batchTargetBytes = logBlockBytes - 4
-
-// wireBufBytes sizes the importer's buffered reader. The export needs no such
+// recvChunkBytes sizes the importer's pooled receive chunks: each socket
+// read fills a chunk's free tail, and the frames in it are views that hold
+// the chunk until their tuples are released. The export needs no such
 // buffer: it writes to the socket straight from its block log.
-const wireBufBytes = 64 << 10
+const recvChunkBytes = 256 << 10
 
 // appendRecord appends tuple t's batch record.
 func appendRecord(b []byte, t *spl.Tuple) []byte {
@@ -79,35 +67,18 @@ func appendRecord(b []byte, t *spl.Tuple) []byte {
 	return append(b, t.Payload...)
 }
 
-// zigzag maps a signed delta to an unsigned varint-friendly value (small
-// magnitudes of either sign encode short); unzigzag inverts it.
-func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// uvarintLen returns the encoded size of binary.AppendUvarint(nil, u).
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
-
-// batchRecordBytes returns tuple t's record size within a batch frame.
+// batchRecordBytes returns tuple t's record size within a batch frame: the
+// wire bytes t adds to a frame.
 func batchRecordBytes(t *spl.Tuple) int {
 	return batchRecordFixed + len(t.Text) + len(t.Payload)
-}
-
-// batchFrameAdd returns the wire bytes tuple t adds to a batch frame whose
-// previous record was prevRec bytes: its record plus the delta varint. The
-// export sizes its open frame with it, by the exact arithmetic
-// marshalBatchFrame applies.
-func batchFrameAdd(t *spl.Tuple, prevRec int) int {
-	rec := batchRecordBytes(t)
-	return uvarintLen(zigzag(int64(rec-prevRec))) + rec
 }
 
 // batchBodyBytes returns the body size (bytes after the length prefix) of
 // the v2 batch frame carrying ts.
 func batchBodyBytes(ts []*spl.Tuple) int {
-	body, prev := batchHeaderBytes, 0
+	body := batchHeaderBytes
 	for _, t := range ts {
-		body += batchFrameAdd(t, prev)
-		prev = batchRecordBytes(t)
+		body += batchRecordBytes(t)
 	}
 	return body
 }
@@ -124,15 +95,9 @@ func appendBatchHeader(dst []byte, body int, baseSeq uint64, count int) []byte {
 // body bytes carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst.
 // The caller has sized the batch: 1..maxBatchTuples tuples, body ==
 // batchBodyBytes(ts) <= maxFrameBytes. The export seals a tuple too large to
-// share a frame straight into its block log through this.
+// share a block straight into a dedicated one through this.
 func appendBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple, body int) []byte {
 	b := appendBatchHeader(dst, body, baseSeq, len(ts))
-	prev := 0
-	for _, t := range ts {
-		rec := batchRecordBytes(t)
-		b = binary.AppendUvarint(b, zigzag(int64(rec-prev)))
-		prev = rec
-	}
 	for _, t := range ts {
 		b = appendRecord(b, t)
 	}
@@ -156,35 +121,40 @@ func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, err
 }
 
 // frameRef is a validated wire frame on its way from the reader goroutine
-// to the operator thread that builds its tuples: the arena holding its body
-// (and the creator reference), its base wire sequence and record count, the
-// body offset where the records start, and how many leading records dedup
+// to the operator thread that builds its tuples: the receive chunk holding
+// it (the frame owns one reference on it), its body within the chunk, its
+// base wire sequence and record count, and how many leading records dedup
 // dropped.
 type frameRef struct {
 	a     *spl.Arena
+	body  []byte
 	base  uint64
 	count int
-	recs  int
 	skip  int
 }
 
-// decoder reads and validates wire frames from a stream.
+// decoder reads and validates wire frames from a stream. Each read takes
+// whatever the stream has ready into the free tail of a pooled receive
+// chunk, and every frame is handed out as a view into the chunk it landed
+// in: c.Bytes()[lo:hi] is read but not yet framed.
 type decoder struct {
-	r     *bufio.Reader
-	nread uint64
-	seq   uint64 // wire sequence of the last frame read
-	last  int    // wire bytes of the last frame read
-	// lenBuf is the length-prefix scratch; a local array would escape
-	// through the io.ReadFull interface call and cost an allocation per
-	// frame.
-	lenBuf [4]byte
-	// lens is the record-length scratch, reused across frames so
-	// steady-state validation is allocation-free.
-	lens []int
+	r      io.Reader
+	c      *spl.Arena // current receive chunk; the decoder holds its creator reference
+	lo, hi int
+	nread  uint64
+	seq    uint64 // wire sequence of the last frame read
+	last   int    // wire bytes of the last frame read
 }
 
-func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReaderSize(r, wireBufBytes)}
+func newDecoder(r io.Reader) *decoder { return &decoder{r: r} }
+
+// close drops the decoder's reference on its current chunk; frames already
+// read keep the chunk alive until their tuples are released.
+func (d *decoder) close() {
+	if d.c != nil {
+		d.c.Release()
+		d.c = nil
+	}
 }
 
 // bytesRead returns the cumulative wire bytes of successfully read frames
@@ -197,53 +167,79 @@ func (d *decoder) wireSeq() uint64 { return d.seq }
 // lastFrameBytes returns the wire size of the last frame read.
 func (d *decoder) lastFrameBytes() int { return d.last }
 
-// readFrame reads one wire frame into a pooled arena and validates it, or
-// returns io.EOF (possibly wrapped) when the stream ends cleanly. It is pass
-// 1 of decoding, run by the reader goroutine: the frame is fully checked
-// before any tuple exists, so a hostile or truncated frame — an unflagged
-// length prefix included — fails closed: its arena is released and the
+// readFrame reads one wire frame and validates it, or returns io.EOF
+// (possibly wrapped) when the stream ends cleanly. It is pass 1 of
+// decoding, run by the reader goroutine: the frame is fully checked before
+// any tuple exists, so a hostile or truncated frame — an unflagged length
+// prefix included — fails closed: its chunk reference is dropped and the
 // error poisons the connection. buildFrame, pass 2, cannot fail.
 func (d *decoder) readFrame() (frameRef, error) {
-	a, err := d.readRaw()
+	a, body, err := d.readRaw()
 	if err != nil {
 		return frameRef{}, err
 	}
-	f, err := d.validate(a)
+	f, err := validate(a, body)
 	if err != nil {
 		a.Release()
 		return frameRef{}, err
 	}
 	d.seq = f.base + uint64(f.count) - 1
-	d.last = 4 + len(a.Bytes())
+	d.last = 4 + len(body)
 	d.nread += uint64(d.last)
 	return f, nil
 }
 
-// readRaw reads one length-prefixed frame body into a pooled arena holding
-// one creator reference.
-func (d *decoder) readRaw() (*spl.Arena, error) {
-	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
-		return nil, err
+// readRaw reads one length-prefixed frame and returns its body as a view
+// into the receive chunk, with one reference on the chunk taken for it.
+func (d *decoder) readRaw() (*spl.Arena, []byte, error) {
+	if err := d.fill(4); err != nil {
+		return nil, nil, err
 	}
-	raw := binary.LittleEndian.Uint32(d.lenBuf[:])
-	frameLen := raw &^ batchFrameFlag
-	if raw&batchFrameFlag == 0 || frameLen < batchHeaderBytes+1+batchRecordFixed || frameLen > maxFrameBytes {
-		return nil, fmt.Errorf("pe: invalid frame length prefix %#08x", raw)
+	raw := binary.LittleEndian.Uint32(d.c.Bytes()[d.lo:])
+	frameLen := int(raw &^ batchFrameFlag)
+	if raw&batchFrameFlag == 0 || frameLen < batchHeaderBytes+batchRecordFixed || frameLen > maxFrameBytes {
+		return nil, nil, fmt.Errorf("pe: invalid frame length prefix %#08x", raw)
 	}
-	a := spl.AcquireArena(int(frameLen))
-	if _, err := io.ReadFull(d.r, a.Bytes()); err != nil {
-		a.Release()
-		return nil, fmt.Errorf("pe: truncated batch frame: %w", err)
+	if err := d.fill(4 + frameLen); err != nil {
+		return nil, nil, fmt.Errorf("pe: truncated batch frame: %w", err)
 	}
-	return a, nil
+	end := d.lo + 4 + frameLen
+	body := d.c.Bytes()[d.lo+4 : end : end]
+	d.lo = end
+	d.c.Retain()
+	return d.c, body, nil
 }
 
-// validate checks a frame body read into a: the header's count and base
-// sequence, then that the delta-varint record lengths and every record's
-// text and payload lengths exactly tile the body. The caller keeps the
-// arena either way.
-func (d *decoder) validate(a *spl.Arena) (frameRef, error) {
-	b := a.Bytes()
+// fill makes at least n unread bytes available. When they would not fit in
+// what is left of the chunk, the unread tail — at most one partial frame —
+// moves to a fresh chunk of max(recvChunkBytes, n) first. A stream that
+// ends short is io.EOF at a frame boundary and io.ErrUnexpectedEOF inside
+// a frame.
+func (d *decoder) fill(n int) error {
+	if d.hi-d.lo >= n {
+		return nil
+	}
+	if d.c == nil || len(d.c.Bytes())-d.lo < n {
+		c := spl.AcquireArena(max(recvChunkBytes, n))
+		if d.c != nil {
+			d.hi = copy(c.Bytes(), d.c.Bytes()[d.lo:d.hi])
+			d.c.Release()
+		}
+		d.c, d.lo = c, 0
+	}
+	m, err := io.ReadAtLeast(d.r, d.c.Bytes()[d.hi:], n-(d.hi-d.lo))
+	d.hi += m
+	if err == io.EOF && d.hi > d.lo {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// validate checks a frame body: the header's count and base sequence, then
+// that the records tile the body exactly — each record's text and payload
+// lengths are bounds-checked, wrap-safe, against what is left of the body.
+// The caller keeps its reference on a either way.
+func validate(a *spl.Arena, b []byte) (frameRef, error) {
 	baseSeq := binary.LittleEndian.Uint64(b[0:])
 	count := int(binary.LittleEndian.Uint32(b[8:]))
 	if count < 1 || count > maxBatchTuples {
@@ -252,92 +248,68 @@ func (d *decoder) validate(a *spl.Arena) (frameRef, error) {
 	if baseSeq == 0 || baseSeq > math.MaxUint64-uint64(count) {
 		return frameRef{}, fmt.Errorf("pe: batch base sequence %d invalid for count %d", baseSeq, count)
 	}
-	if cap(d.lens) < count {
-		d.lens = make([]int, maxBatchTuples)
-	}
-	lens := d.lens[:count]
 	off := batchHeaderBytes
-	prev := 0
 	for i := 0; i < count; i++ {
-		u, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return frameRef{}, fmt.Errorf("pe: bad record length varint at offset %d", off)
+		rest := len(b) - off
+		if rest < batchRecordFixed {
+			return frameRef{}, fmt.Errorf("pe: record %d overruns frame", i)
 		}
-		off += n
-		rec64 := int64(prev) + unzigzag(u)
-		if rec64 < batchRecordFixed || rec64 > maxFrameBytes {
-			return frameRef{}, fmt.Errorf("pe: record length %d outside [%d, %d]", rec64, batchRecordFixed, maxFrameBytes)
+		textLen := uint64(binary.LittleEndian.Uint32(b[off+40:]))
+		if textLen > uint64(rest-batchRecordFixed) {
+			return frameRef{}, fmt.Errorf("pe: text length %d overruns frame", textLen)
 		}
-		lens[i] = int(rec64)
-		prev = int(rec64)
-	}
-	f := frameRef{a: a, base: baseSeq, count: count, recs: off}
-	for i := 0; i < count; i++ {
-		rec := lens[i]
-		if rec > len(b)-off {
-			return frameRef{}, fmt.Errorf("pe: record %d (%d bytes) overruns frame", i, rec)
+		payloadLen := uint64(binary.LittleEndian.Uint32(b[off+44+int(textLen):]))
+		if payloadLen > uint64(rest-batchRecordFixed)-textLen {
+			return frameRef{}, fmt.Errorf("pe: payload length %d overruns frame", payloadLen)
 		}
-		r := b[off : off+rec]
-		textLen := int(binary.LittleEndian.Uint32(r[40:]))
-		if textLen > rec-batchRecordFixed {
-			return frameRef{}, fmt.Errorf("pe: text length %d overruns record", textLen)
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(r[44+textLen:]))
-		if payloadLen != rec-batchRecordFixed-textLen {
-			return frameRef{}, fmt.Errorf("pe: payload length %d inconsistent with record", payloadLen)
-		}
-		off += rec
+		off += batchRecordFixed + int(textLen+payloadLen)
 	}
 	if off != len(b) {
 		return frameRef{}, fmt.Errorf("pe: batch records end at %d, frame is %d bytes", off, len(b))
 	}
-	return f, nil
+	return frameRef{a: a, body: b, base: baseSeq, count: count}, nil
 }
 
 // buildFrame is pass 2 of decoding, run on the operator thread that emits
 // the tuples: it materializes records [f.skip, f.count) of a validated frame
-// into out (which must hold f.count-f.skip entries) and drops the creator
-// reference, returning the tuple count. The tuples share the frame's arena:
+// into out (which must hold f.count-f.skip entries) and drops the frame's
+// chunk reference, returning the tuple count. The tuples share the chunk:
 // every payload is a zero-copy view, attached through references pre-taken
 // in a single RetainN (payload-less records return theirs at once). The
 // tuple ownership protocol extends across the wire, so consumers must
 // Release each tuple (directly or via the runtime) when its life ends, which
-// is what lets the arena recycle.
+// is what lets the chunk recycle.
 func buildFrame(f frameRef, out []*spl.Tuple) int {
-	b := f.a.Bytes()
+	b := f.body
 	n := f.count - f.skip
 	f.a.RetainN(int32(n))
-	lo, off, prev := batchHeaderBytes, f.recs, 0
+	off := batchHeaderBytes
 	for i := 0; i < f.count; i++ {
-		u, k := binary.Uvarint(b[lo:])
-		lo += k
-		rec := prev + int(unzigzag(u))
-		prev = rec
+		textLen := int(binary.LittleEndian.Uint32(b[off+40:]))
+		payloadLen := int(binary.LittleEndian.Uint32(b[off+44+textLen:]))
+		r := b[off : off+batchRecordFixed+textLen+payloadLen]
+		off += len(r)
 		if i < f.skip {
-			off += rec
 			continue
 		}
-		r := b[off : off+rec]
 		t := spl.AcquireTuple()
 		t.Seq = binary.LittleEndian.Uint64(r[0:])
 		t.Key = binary.LittleEndian.Uint64(r[8:])
 		t.Time = int64(binary.LittleEndian.Uint64(r[16:]))
 		t.Num1 = math.Float64frombits(binary.LittleEndian.Uint64(r[24:]))
 		t.Num2 = math.Float64frombits(binary.LittleEndian.Uint64(r[32:]))
-		textLen := int(binary.LittleEndian.Uint32(r[40:]))
 		if textLen > 0 {
 			// Strings are immutable and may outlive the frame (operators
 			// stash them in aggregates), so the text cannot be a view; this
 			// is the one copy decode still pays, on text-bearing tuples only.
 			t.Text = string(r[44 : 44+textLen])
 		}
-		if payloadLen := rec - batchRecordFixed - textLen; payloadLen > 0 {
-			t.AttachArenaRetained(f.a, r[48+textLen:48+textLen+payloadLen])
+		if payloadLen > 0 {
+			t.AttachArenaRetained(f.a, r[batchRecordFixed+textLen:len(r):len(r)])
 		} else {
 			f.a.Release()
 		}
 		out[i-f.skip] = t
-		off += rec
 	}
 	f.a.Release()
 	return n

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"streamelastic/internal/spl"
@@ -145,7 +147,7 @@ var tupleFixture = spl.Tuple{
 
 // batchFixtureTuples returns a small mixed batch: text and payload bearing,
 // payload-only, scalar-only, and a larger-payload tuple, so record lengths
-// shrink and grow (both zigzag delta signs appear on the wire).
+// shrink and grow.
 func batchFixtureTuples() []*spl.Tuple {
 	return []*spl.Tuple{
 		{Seq: 100, Key: 1, Time: -5, Num1: 1.25, Num2: -9, Text: "alpha", Payload: []byte{1, 2, 3}},
@@ -239,39 +241,149 @@ func TestBatchFrameTruncationEveryOffset(t *testing.T) {
 	wire, want, ends := batchWireFixture(t)
 	counts := []int{2, 1, 2}
 	out := make([]*spl.Tuple, maxBatchTuples)
-	for cut := 0; cut <= len(wire); cut++ {
-		complete := 0
-		for _, e := range ends {
-			if e <= cut {
-				complete++
+	for name, wrap := range oddReaders {
+		for cut := 0; cut <= len(wire); cut++ {
+			complete := 0
+			for _, e := range ends {
+				if e <= cut {
+					complete++
+				}
 			}
+			dec := newDecoder(wrap(bytes.NewReader(wire[:cut])))
+			wi := 0
+			for f := 0; f < complete; f++ {
+				n, _, err := dec.decodeFrame(out)
+				if err != nil {
+					t.Fatalf("%s reader, cut %d: intact frame %d failed: %v", name, cut, f, err)
+				}
+				if n != counts[f] {
+					t.Fatalf("%s reader, cut %d: frame %d decoded %d tuples, want %d", name, cut, f, n, counts[f])
+				}
+				for i := 0; i < n; i++ {
+					checkFrame(t, wi, want[wi], out[i])
+					out[i].Release()
+					out[i] = nil
+					wi++
+				}
+			}
+			if _, _, err := dec.decodeFrame(out); err == nil {
+				t.Fatalf("%s reader, cut %d: decode of incomplete frame %d succeeded", name, cut, complete)
+			}
+			dec.close()
 		}
-		dec := newDecoder(bytes.NewReader(wire[:cut]))
-		wi := 0
-		for f := 0; f < complete; f++ {
-			n, _, err := dec.decodeFrame(out)
-			if err != nil {
-				t.Fatalf("cut %d: intact frame %d failed: %v", cut, f, err)
-			}
-			if n != counts[f] {
-				t.Fatalf("cut %d: frame %d decoded %d tuples, want %d", cut, f, n, counts[f])
-			}
-			for i := 0; i < n; i++ {
-				checkFrame(t, wi, want[wi], out[i])
-				out[i].Release()
-				out[i] = nil
-				wi++
-			}
+	}
+}
+
+// oddReaders are the stream shapes the decoder must read frames from
+// unchanged: whole reads, and the short and error-carrying reads
+// testing/iotest provides.
+var oddReaders = map[string]func(io.Reader) io.Reader{
+	"plain":    func(r io.Reader) io.Reader { return r },
+	"one byte": iotest.OneByteReader,
+	"half":     iotest.HalfReader,
+	"data+err": iotest.DataErrReader,
+}
+
+// chunkEdgeWire builds a stream that crosses receive-chunk edges: ~100 KiB
+// frames (the third straddles the first chunk's end), a frame larger than a
+// chunk, and small mixed frames after it. It returns the tuples in wire
+// order, each frame's end offset, and through[k], the tuples the first k
+// frames carry.
+func chunkEdgeWire(tb testing.TB) (wire []byte, want []*spl.Tuple, ends, through []int) {
+	tb.Helper()
+	seq, through := uint64(1), []int{0}
+	add := func(ts []*spl.Tuple) {
+		f, err := marshalBatchFrame(nil, seq, ts)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		if _, _, err := dec.decodeFrame(out); err == nil {
-			t.Fatalf("cut %d: decode of incomplete frame %d succeeded", cut, complete)
+		wire = append(wire, f...)
+		want = append(want, ts...)
+		ends = append(ends, len(wire))
+		through = append(through, len(want))
+		seq += uint64(len(ts))
+	}
+	for i := 0; i < 4; i++ {
+		add(logTuples(seq, 3, 33<<10))
+	}
+	add(logTuples(seq, 1, recvChunkBytes+5<<10))
+	for i := 0; i < 6; i++ {
+		add(batchFixtureTuples())
+	}
+	return wire, want, ends, through
+}
+
+// decodeAll decodes frames until the decoder fails, keeping every tuple —
+// so views into earlier chunks must survive later reads and chunk moves —
+// and noting each chunk the decoder read into.
+func decodeAll(dec *decoder, chunks map[*spl.Arena]bool) ([]*spl.Tuple, error) {
+	out := make([]*spl.Tuple, maxBatchTuples)
+	var got []*spl.Tuple
+	for {
+		n, _, err := dec.decodeFrame(out)
+		if dec.c != nil {
+			chunks[dec.c] = true
+		}
+		if err != nil {
+			return got, err
+		}
+		got = append(got, out[:n]...)
+	}
+}
+
+// TestDecoderOddReaders reads a stream whose frames straddle chunk edges,
+// one of them larger than a chunk, through short and error-carrying
+// readers: every tuple decodes exactly, while holding every earlier tuple.
+// Cut at each frame's end and one byte either side, the frames wholly
+// before the cut decode and the next fails closed. Once every tuple is
+// released and the decoder closed, no chunk keeps a reference.
+func TestDecoderOddReaders(t *testing.T) {
+	wire, want, ends, through := chunkEdgeWire(t)
+	if ends[1] >= recvChunkBytes || ends[2] <= recvChunkBytes {
+		t.Fatalf("fixture: frame 2 spans [%d, %d), want it across the first chunk's end", ends[1], ends[2])
+	}
+	for name, wrap := range oddReaders {
+		chunks := map[*spl.Arena]bool{}
+		dec := newDecoder(wrap(bytes.NewReader(wire)))
+		got, err := decodeAll(dec, chunks)
+		if err != io.EOF {
+			t.Fatalf("%s reader: stream ended with %v after %d tuples, want io.EOF", name, err, len(got))
+		}
+		if len(got) != len(want) || dec.bytesRead() != uint64(len(wire)) {
+			t.Fatalf("%s reader: %d tuples from %d bytes, want %d from %d", name, len(got), dec.bytesRead(), len(want), len(wire))
+		}
+		for i := range want {
+			checkFrame(t, i, want[i], got[i])
+		}
+		if len(chunks) < 3 {
+			t.Fatalf("%s reader: read into %d chunks, want the stream to cross several", name, len(chunks))
+		}
+		releaseAll(got)
+		dec.close()
+		checkChunksFree(t, name+" reader", chunks)
+	}
+	for _, e := range ends {
+		for cut := e - 1; cut <= min(e+1, len(wire)-1); cut++ {
+			complete := sort.SearchInts(ends, cut+1) // frames wholly before the cut
+			chunks := map[*spl.Arena]bool{}
+			dec := newDecoder(iotest.HalfReader(bytes.NewReader(wire[:cut])))
+			got, err := decodeAll(dec, chunks)
+			if clean := complete > 0 && ends[complete-1] == cut; clean != (err == io.EOF) || err == nil {
+				t.Fatalf("cut %d (%d whole frames before it): decode ended with %v", cut, complete, err)
+			}
+			if wantN := through[complete]; len(got) != wantN {
+				t.Fatalf("cut %d: %d tuples decoded, want the %d of the %d whole frames", cut, len(got), wantN, complete)
+			}
+			releaseAll(got)
+			dec.close()
+			checkChunksFree(t, fmt.Sprintf("cut %d", cut), chunks)
 		}
 	}
 }
 
 // TestBatchFrameFlipEveryByte flips every byte of the canonical buffer (a
-// hard 0xff xor, hitting the length prefix, base seq, count, the zigzag
-// delta varints, and every record field) and decodes the mutated stream to
+// hard 0xff xor, hitting the length prefix, base seq, count, the text and
+// payload lengths, and every record field) and decodes the mutated stream to
 // the end: the decoder may accept or reject frames but must never panic and
 // never hand back more content than the wire carried.
 func TestBatchFrameFlipEveryByte(t *testing.T) {
@@ -322,9 +434,9 @@ func TestMarshalBatchFrameRejects(t *testing.T) {
 
 // TestDecodeFrameRejectsHostileBatchHeaders drives decodeFrame with
 // synthetic hostile batch headers that a byte flip could produce: zero and
-// overflowing base sequences, counts outside [1, maxBatchTuples], record
-// deltas that go negative or huge, and a frame whose records do not tile its
-// length. All must fail closed.
+// overflowing base sequences, counts outside [1, maxBatchTuples], and record
+// lengths that overrun the frame or leave its records short of tiling it.
+// All must fail closed.
 func TestDecodeFrameRejectsHostileBatchHeaders(t *testing.T) {
 	out := make([]*spl.Tuple, maxBatchTuples)
 	frame := func(mutate func([]byte)) []byte {
@@ -340,9 +452,13 @@ func TestDecodeFrameRejectsHostileBatchHeaders(t *testing.T) {
 		"overflow base seq": func(b []byte) { binary.LittleEndian.PutUint64(b[4:], ^uint64(0)) },
 		"zero count":        func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 0) },
 		"huge count":        func(b []byte) { binary.LittleEndian.PutUint32(b[12:], maxBatchTuples+1) },
-		// First delta varint becomes a large negative delta: record length
-		// lands below batchRecordFixed and must be rejected, wrap-safe.
-		"negative record length": func(b []byte) { b[16] = 0xff; b[17] = 0xff; b[18] = 0x7f },
+		// The first record's text length overruns the frame, wrap-safe.
+		"text length overrun": func(b []byte) { binary.LittleEndian.PutUint32(b[16+40:], ^uint32(0)) },
+		// The first record's payload length overruns the frame (its text is
+		// "alpha", five bytes).
+		"payload length overrun": func(b []byte) { binary.LittleEndian.PutUint32(b[16+44+5:], 1<<30) },
+		// A shorter payload leaves the records short of tiling the frame.
+		"payload length short": func(b []byte) { binary.LittleEndian.PutUint32(b[16+44+5:], 2) },
 	}
 	for name, mutate := range cases {
 		dec := newDecoder(bytes.NewReader(frame(mutate)))
@@ -397,6 +513,17 @@ func TestDecodeIsZeroCopy(t *testing.T) {
 	empty.Release()
 }
 
+// checkChunksFree fails the test when a chunk the decoder read into still
+// holds a reference after every tuple was released and the decoder closed.
+func checkChunksFree(t *testing.T, what string, chunks map[*spl.Arena]bool) {
+	t.Helper()
+	for c := range chunks {
+		if r := c.Refs(); r != 0 {
+			t.Fatalf("%s: a %d-byte chunk keeps %d references", what, len(c.Bytes()), r)
+		}
+	}
+}
+
 // encoder is the tests' reference sender: a buffered writer fed one
 // single-tuple batch frame at a time, wire sequences counting from 1.
 type encoder struct {
@@ -407,7 +534,7 @@ type encoder struct {
 }
 
 func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: bufio.NewWriterSize(w, wireBufBytes)}
+	return &encoder{w: bufio.NewWriterSize(w, logBlockBytes)}
 }
 
 // writeFrame appends one single-tuple frame to the buffered writer without

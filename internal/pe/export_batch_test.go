@@ -71,9 +71,7 @@ func bareExport(budget int) *exportOp {
 func sealFlush(tb testing.TB, x *exportOp, w io.Writer) {
 	x.amu.Lock()
 	defer x.amu.Unlock()
-	if !x.sealLocked() {
-		tb.Fatal("no block memory to seal the open frame")
-	}
+	x.sealLocked()
 	if _, err := x.log.flush(w, x.log.appended); err != nil {
 		tb.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestExportConcurrentProducers(t *testing.T) {
 }
 
 // TestExportFramesMatchMarshal: tuples appended through ProcessBatch and
-// Process — mixed record lengths, so both zigzag delta signs occur — seal
+// Process — mixed record lengths, with and without text and payload — seal
 // into bytes identical to marshalBatchFrame over the same tuples and base
 // sequence, a frame cut at writerBatchTuples included.
 func TestExportFramesMatchMarshal(t *testing.T) {
@@ -304,5 +302,127 @@ func TestExportProcessBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state ProcessBatch of 64 tuples allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestExportHoldsOpenFrameBlock: a frame that opened a fresh block has
+// sealed nothing there yet, so an acknowledgement of every sealed sequence
+// covers the block; it must stay live while producers encode into it, and
+// the frame must seal, arrive intact, and then be released like any other.
+func TestExportHoldsOpenFrameBlock(t *testing.T) {
+	x := bareExport(4 * logBlockBytes)
+	ts := logTuples(1, 7, 20<<10) // three ~20 KiB records fill a block
+	x.ProcessBatch(0, ts[:4], nil)
+	if x.WireFrames() != 1 || x.frame.count != 1 || len(x.log.blocks) != 2 {
+		t.Fatalf("fixture: %d frames sealed, %d records open, %d blocks; want 1, 1, 2",
+			x.WireFrames(), x.frame.count, len(x.log.blocks))
+	}
+	var wire bytes.Buffer
+	if _, err := x.log.flush(&wire, x.log.appended); err != nil {
+		t.Fatal(err)
+	}
+	x.log.release(x.nextSeq - 1) // every sealed sequence
+	if len(x.log.blocks) != 1 || x.log.blocks[0] != x.frame.blk || len(x.log.free) != 1 {
+		t.Fatalf("after the ack: %d live blocks (open frame's kept: %v), %d free; want 1, true, 1",
+			len(x.log.blocks), len(x.log.blocks) > 0 && x.log.blocks[0] == x.frame.blk, len(x.log.free))
+	}
+	if x.log.retained != logBlockBytes {
+		t.Fatalf("retained %d, want the open frame's block", x.log.retained)
+	}
+	// Producers go on: the frame fills its block, seals, and the next one
+	// takes the freed block from the free list.
+	x.ProcessBatch(0, ts[4:], nil)
+	if len(x.log.free) != 0 || len(x.log.blocks) != 2 {
+		t.Fatalf("%d free and %d live blocks, want the freed block reused", len(x.log.free), len(x.log.blocks))
+	}
+	sealFlush(t, x, &wire)
+	// Sealed, the frame's block is released like any other.
+	if x.log.release(x.nextSeq); len(x.log.blocks) != 0 || x.log.retained != 0 {
+		t.Fatalf("after acknowledging everything: %d live blocks, %d bytes retained", len(x.log.blocks), x.log.retained)
+	}
+	got := decodeWire(t, wire.Bytes())
+	if len(got) != 3 || got[1].first != 4 || len(got[1].seqs) != 3 || got[2].first != 7 {
+		t.Fatalf("decoded %+v, want frames from 1, 4 (three tuples) and 7", got)
+	}
+	for i, f := range got {
+		for j, s := range f.seqs {
+			if s != f.first+uint64(j) {
+				t.Fatalf("frame %d tuple %d carries Seq %d, want %d", i, j, s, f.first+uint64(j))
+			}
+		}
+	}
+}
+
+// TestExportFramesCutAtBlockRoom: with ragged records (no payload, 1 KiB,
+// 20 KiB and an oversize 70 KiB one, with and without text) frames are cut
+// where the next record would not fit the block's room; every sealed frame
+// is byte-identical to marshalBatchFrame over the same tuples, and a gated
+// import's pressure gauge, charged frame by frame, accounts exactly the
+// block memory the export retains.
+func TestExportFramesCutAtBlockRoom(t *testing.T) {
+	sizes := []int{0, 1 << 10, 20 << 10, 1 << 10, 0, 20 << 10, 20 << 10}
+	var ts []*spl.Tuple
+	for i := 0; i < 400; i++ {
+		tp := &spl.Tuple{Seq: uint64(i), Key: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)])}
+		if i%3 == 0 {
+			tp.Text = "text of a record"
+		}
+		if i == 150 {
+			tp.Payload = make([]byte, 70<<10)
+		}
+		ts = append(ts, tp)
+	}
+	x := bareExport(1 << 30)
+	imp := newImportSource("i")
+	imp.armPressure(1<<62, func() {})
+	var wire []byte
+	cutByRoom := 0
+	check := func() {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := x.log.flush(&buf, x.log.appended); err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, buf.Bytes()...)
+		for b := buf.Bytes(); len(b) > 0; {
+			size, first, last := frameSpan(b)
+			want, err := marshalBatchFrame(nil, first, ts[first-1:last])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b[:size], want) {
+				t.Fatalf("frame %d..%d: sealed bytes differ from marshalBatchFrame", first, last)
+			}
+			if n := last - first + 1; n < writerBatchTuples && last < uint64(len(ts)) && size <= logBlockBytes {
+				cutByRoom++
+			}
+			imp.notePressure(size)
+			b = b[size:]
+		}
+		// The open frame's block is charged when the frame opens; the
+		// import charges it with the frame.
+		open, room := 0, imp.pressRoom
+		if f := x.frame; f.count > 0 {
+			open = blockCharge(&room, 4+batchHeaderBytes+batchRecordBytes(ts[f.first-1]))
+		}
+		if g := imp.winBytes.Load() + uint64(open); g != uint64(x.log.retained) {
+			t.Fatalf("pressure gauge %d + open frame %d, export retains %d", imp.winBytes.Load(), open, x.log.retained)
+		}
+	}
+	for _, tp := range ts {
+		x.Process(0, tp, nil)
+		check()
+	}
+	x.sealLocked()
+	check()
+	if cutByRoom < 10 {
+		t.Fatalf("%d frames cut at block room, want the ragged stream to cut many", cutByRoom)
+	}
+	var seqs []uint64
+	for _, f := range decodeWire(t, wire) {
+		seqs = append(seqs, f.seqs...)
+	}
+	if len(seqs) != len(ts) {
+		t.Fatalf("decoded %d tuples, appended %d", len(seqs), len(ts))
 	}
 }

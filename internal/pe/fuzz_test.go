@@ -210,20 +210,22 @@ func FuzzBatchedFrames(f *testing.F) {
 // decodeSplit reads one frame the way the wire path does — readRaw and
 // validate on the reader goroutine's side, buildFrame on the consuming
 // operator thread's — and checks the fail-closed contract at the seam: a
-// rejected frame builds no tuple and its arena holds only the reader's
-// reference, which the reader drops; an accepted frame, once built, is held
-// by exactly its payload views, so releasing the tuples returns the arena.
-// ok is false when the stream ended or the frame was rejected.
+// rejected frame builds no tuple and its chunk holds only the decoder's
+// reference and the frame's, which the reader drops; an accepted frame, once
+// built, leaves the chunk held by exactly its payload views and the decoder,
+// so releasing the tuples hands the chunk back to the decoder alone (the
+// caller releases each frame's tuples before reading the next). ok is false
+// when the stream ended or the frame was rejected.
 func decodeSplit(t *testing.T, dec *decoder, out []*spl.Tuple) (n int, ok bool) {
 	t.Helper()
-	a, err := dec.readRaw()
+	a, body, err := dec.readRaw()
 	if err != nil {
 		return 0, false
 	}
-	f, err := dec.validate(a)
+	f, err := validate(a, body)
 	if err != nil {
-		if r := a.Refs(); r != 1 {
-			t.Fatalf("rejected frame's arena holds %d references, want the reader's 1", r)
+		if r := a.Refs(); r != 2 {
+			t.Fatalf("rejected frame's chunk holds %d references, want the decoder's and the frame's 2", r)
 		}
 		a.Release()
 		return 0, false
@@ -241,21 +243,21 @@ func decodeSplit(t *testing.T, dec *decoder, out []*spl.Tuple) (n int, ok bool) 
 			views++
 		}
 	}
-	if views > 0 && a.Refs() != views {
-		t.Fatalf("built frame's arena holds %d references for %d payload views", a.Refs(), views)
+	if a.Refs() != views+1 {
+		t.Fatalf("built frame's chunk holds %d references for %d payload views and the decoder", a.Refs(), views)
 	}
 	return n, true
 }
 
 // FuzzBatchFrameDecode hardens the wire decoder as the transport splits it —
 // reader-side readRaw and validate, then the consumer's buildFrame —
-// against arbitrary byte streams: hostile length prefixes, counts, zigzag
-// seq-delta varints, and record lengths must all fail closed without a
-// panic (no tuple built, the arena back to zero references), and a frame
-// that does decode must never hand back more content than the wire carried
-// (the arena view cannot over-read its block). The
-// committed seed corpus under testdata/fuzz covers valid multi-frame
-// buffers, truncations, and targeted header/delta flips;
+// against arbitrary byte streams: hostile length prefixes, counts, and
+// text and payload lengths must all fail closed without a panic (no tuple
+// built, the frame's chunk reference dropped), and a frame that does decode
+// must never hand back more content than the wire carried (a view cannot
+// over-read its frame). The committed seed corpus under testdata/fuzz
+// covers valid multi-frame buffers, truncations, and targeted header and
+// record-length flips;
 // regenerate it with PE_GEN_CORPUS=1 go test -run TestGenBatchFrameCorpus.
 // Deterministic every-offset truncation and every-byte flips run in
 // TestBatchFrameTruncationEveryOffset and TestBatchFrameFlipEveryByte on
@@ -267,6 +269,7 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := newDecoder(bytes.NewReader(data))
+		defer dec.close()
 		out := make([]*spl.Tuple, maxBatchTuples)
 		read := 0
 		for i := 0; i < 8; i++ {
@@ -313,10 +316,10 @@ func batchFuzzSeeds(tb testing.TB) [][]byte {
 	overcount := append([]byte(nil), wire[:ends[0]]...)
 	binary.LittleEndian.PutUint32(overcount[12:], 900)
 	seeds = append(seeds, overcount)
-	// Valid frame with a hostile first seq-delta varint (negative length).
-	badDelta := append([]byte(nil), wire[:ends[0]]...)
-	badDelta[16], badDelta[17], badDelta[18] = 0xff, 0xff, 0x7f
-	seeds = append(seeds, badDelta)
+	// Valid frame whose first record's text length overruns the frame.
+	badText := append([]byte(nil), wire[:ends[0]]...)
+	binary.LittleEndian.PutUint32(badText[16+40:], ^uint32(0))
+	seeds = append(seeds, badText)
 	return seeds
 }
 

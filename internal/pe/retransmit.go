@@ -10,7 +10,8 @@ import (
 )
 
 // logBlockBytes is the size of one pooled block of the export's block log.
-// batchTargetBytes is cut so a full batch frame fills exactly one block.
+// Frames are cut at block room, so a block holds whole frames and no tail
+// is left unused unless a record would not fit in it.
 const logBlockBytes = 64 << 10
 
 // pressureShare is the fraction of the byte budget a checkpoint-gated import
@@ -40,7 +41,9 @@ func blockCharge(room *int, n int) int {
 }
 
 // logBlock is one block of the log: whole encoded frames back to back,
-// covering the inclusive wire-sequence range [first, last].
+// covering the inclusive wire-sequence range [first, last]. The export's
+// open frame, while it is being encoded, sits past len(buf) in the newest
+// block.
 type logBlock struct {
 	buf   []byte
 	first uint64
@@ -48,8 +51,8 @@ type logBlock struct {
 }
 
 // blockLog is the export's write buffer and retransmit window in one: an
-// append-only log of encoded frames held in 64 KiB blocks. Producers seal
-// each frame straight into the open block, the writer writes to the socket
+// append-only log of encoded frames held in 64 KiB blocks. Producers encode
+// each record straight into the open block, the writer writes to the socket
 // from block memory, and a block returns to the free list once the acked
 // watermark passes its last sequence — so the memory retained follows the
 // un-acked window, and the window is bounded in bytes of block memory, not in
@@ -68,6 +71,7 @@ type blockLog struct {
 	free     []*logBlock // released pooled blocks
 	room     int         // bytes left in the open block
 	retained int         // block memory held by live blocks
+	hold     bool        // the newest block holds the open frame: never release it
 
 	// appended and written are running byte totals; the bytes between them
 	// are sealed but not yet handed to the socket in this connection epoch.
@@ -103,12 +107,13 @@ func (l *blockLog) full(n int, acked uint64) bool {
 // release returns every block whose sequences the acked watermark covers to
 // the free list (dedicated oversize blocks, and pooled ones the budget has no
 // room to keep, go to the garbage collector), stopping at a block an
-// in-flight write still reads.
+// in-flight write still reads and at one producers are encoding into.
 func (l *blockLog) release(acked uint64) {
 	n := 0
 	for n < len(l.blocks) && l.blocks[n].last <= acked {
 		b := l.blocks[n]
-		if l.pinned && n >= l.wIdx && (n > l.wIdx || l.wOff < len(b.buf)) {
+		if l.pinned && n >= l.wIdx && (n > l.wIdx || l.wOff < len(b.buf)) ||
+			l.hold && n == len(l.blocks)-1 {
 			break
 		}
 		l.retained -= cap(b.buf)
@@ -135,8 +140,9 @@ func (l *blockLog) release(acked uint64) {
 	}
 }
 
-// open returns the block a frame of n bytes is marshalled into, opening a
-// new one when the open block lacks the room.
+// open returns the block a frame of n bytes (or the first n bytes of a
+// growing one) is encoded into, opening a new one when the open block lacks
+// the room, and charges the n bytes against its room.
 func (l *blockLog) open(n int) *logBlock {
 	charge := blockCharge(&l.room, n)
 	if charge == 0 {
@@ -154,7 +160,7 @@ func (l *blockLog) open(n int) *logBlock {
 	return b
 }
 
-// stamp records a just-appended frame's sequence range on its block.
+// stamp records a just-sealed frame's sequence range on its block.
 func (l *blockLog) stamp(b *logBlock, grew int, first, last uint64) {
 	if b.first == 0 {
 		b.first = first
@@ -165,22 +171,11 @@ func (l *blockLog) stamp(b *logBlock, grew int, first, last uint64) {
 
 // appendBatch marshals ts as one v2 batch frame of body bytes covering wire
 // sequences first..first+len(ts)-1. The caller has checked full and sized
-// the batch (see appendBatchFrame).
+// the batch (see appendBatchFrame); no frame is open.
 func (l *blockLog) appendBatch(first uint64, ts []*spl.Tuple, body int) {
 	b := l.open(4 + body)
 	b.buf = appendBatchFrame(b.buf, first, ts, body)
 	l.stamp(b, 4+body, first, first+uint64(len(ts))-1)
-}
-
-// appendFrame seals count records as one v2 batch frame from its encoded
-// parts: the records back to back in recs, their zigzag-varint lengths in
-// lens. The caller has checked full.
-func (l *blockLog) appendFrame(first uint64, count int, lens, recs []byte) {
-	body := batchHeaderBytes + len(lens) + len(recs)
-	b := l.open(4 + body)
-	b.buf = appendBatchHeader(b.buf, body, first, count)
-	b.buf = append(append(b.buf, lens...), recs...)
-	l.stamp(b, 4+body, first, first+uint64(count)-1)
 }
 
 // buffered returns the sealed bytes not yet handed to the socket.

@@ -78,22 +78,12 @@ const ackTickInterval = 50 * time.Millisecond
 // receiver stops acknowledging for that connection instead of wedging.
 const ackWriteTimeout = time.Second
 
-// errExportClosing ends a writer connection epoch for a graceful close.
-var errExportClosing = errors.New("pe: export closing")
-
-// errExportConnLost ends a writer connection epoch when the ack reader
-// observes the connection die.
-var errExportConnLost = errors.New("pe: export connection lost")
-
-// errExportWindowFull aborts a closing drain whose retransmit window stayed
-// full (the peer stopped acknowledging).
-var errExportWindowFull = errors.New("pe: retransmit window full at close")
-
 // exportOp is the terminal operator standing in for a cross-PE stream's
 // sending side. Process and ProcessBatch encode each tuple on the calling
 // engine thread, under the append lock, as the next record of the open batch
-// frame and give it the next wire sequence; a full frame is sealed into a
-// byte-budgeted block log that holds it until the receiver acknowledges it.
+// frame — in place, in the open block of a byte-budgeted block log that
+// holds the frame until the receiver acknowledges it — and give it the next
+// wire sequence.
 // A dedicated writer goroutine does only byte work: it seals the open frame
 // when it comes round, writes the log's unsent bytes to the socket, applies
 // fault effects, and handles acknowledgements and resume. No pooled tuple
@@ -168,16 +158,15 @@ type exportOp struct {
 	batches    batchHist
 }
 
-// openFrame is the batch frame producers are appending to: its records and
-// their zigzag-varint lengths, encoded as the tuples arrive, and the fault
-// effects its tuples fired. Sealing copies it into the block log.
+// openFrame is the batch frame producers are appending to: its records sit
+// in blk past len(blk.buf), leaving room for the length prefix and header in
+// front, and fx holds the fault effects its tuples fired. Sealing writes the
+// header and extends blk.buf over the frame.
 type openFrame struct {
 	first uint64 // wire sequence of the first record
 	count int
-	prev  int // length of the last record
-	body  int // batch body bytes the frame seals to
-	lens  []byte
-	recs  []byte
+	body  int // batch body bytes so far: header plus records
+	blk   *logBlock
 	fx    frameFx
 }
 
@@ -337,54 +326,59 @@ func (x *exportOp) appendOne(t *spl.Tuple) bool {
 	return ok
 }
 
-// appendLocked encodes t as the open frame's next record and gives it the
-// next wire sequence, sealing the frame first when t would overflow it
-// (writerBatchTuples records or batchTargetBytes of body). A tuple too large
-// to share a frame is sealed alone into a dedicated block, and one too large
-// to frame at all is dropped and counted. It reports false — t not taken —
-// when a seal needs block memory the budget has none of, or would put more
-// than maxUnwritten bytes in front of the socket. The chaos hooks
-// fire per appended tuple, in append order, so a fault plan's Nth event lands
-// on the same tuple however the stream is framed. Callers hold amu.
+// appendLocked encodes t as the open frame's next record, straight into the
+// log's open block, and gives it the next wire sequence. The frame is sealed
+// first when it holds writerBatchTuples records or t's record would not fit
+// in the block's room. A frame opens charged for its length prefix, header
+// and first record; a tuple too large to share a block is sealed alone into
+// a dedicated one, and one too large to frame at all is dropped and
+// counted. It reports false — t not taken — when a new frame needs block
+// memory the budget has none of, or a seal would put more than maxUnwritten
+// bytes in front of the socket. The chaos hooks fire per appended tuple, in
+// append order, so a fault plan's Nth event lands on the same tuple however
+// the stream is framed. Callers hold amu.
 func (x *exportOp) appendLocked(t *spl.Tuple) bool {
 	if x.log == nil {
 		x.dropped.Add(1) // the writer has settled the books
 		return true
 	}
-	f := &x.frame
-	if f.count == writerBatchTuples || (f.count > 0 && f.body+batchFrameAdd(t, f.prev) > batchTargetBytes) {
-		if x.log.buffered() >= maxUnwritten || !x.sealLocked() {
+	f, l := &x.frame, x.log
+	rec := batchRecordBytes(t)
+	if f.count == writerBatchTuples || f.count > 0 && rec > l.room {
+		if l.buffered() >= maxUnwritten {
 			return false
 		}
+		x.sealLocked()
 	}
 	if f.count == 0 {
-		body := batchHeaderBytes + batchFrameAdd(t, 0)
+		body := batchHeaderBytes + rec
 		if body > maxFrameBytes {
 			x.dropped.Add(1)
 			return true
 		}
-		if body > batchTargetBytes {
-			if x.log.buffered() >= maxUnwritten || x.log.full(4+body, x.acked.Load()) {
-				return false
-			}
-			fx := frameFx{at: x.log.appended}
+		oversize := 4+body > logBlockBytes
+		if oversize && l.buffered() >= maxUnwritten || l.full(4+body, x.acked.Load()) {
+			return false
+		}
+		if oversize {
+			fx := frameFx{at: l.appended}
 			if x.inj != nil {
 				x.fire(&fx)
 			}
 			x.nextSeq++
 			one := [1]*spl.Tuple{t}
-			x.log.appendBatch(x.nextSeq, one[:], body)
+			l.appendBatch(x.nextSeq, one[:], body)
 			x.sealed(1, fx)
 			return true
 		}
-		f.first, f.prev, f.body = x.nextSeq+1, 0, batchHeaderBytes
+		f.first, f.body, f.blk = x.nextSeq+1, batchHeaderBytes, l.open(4+body)
+		l.hold = true
+	} else {
+		l.room -= rec
 	}
-	rec := batchRecordBytes(t)
-	n := len(f.lens)
-	f.lens = binary.AppendUvarint(f.lens, zigzag(int64(rec-f.prev)))
-	f.recs = appendRecord(f.recs, t)
-	f.body += len(f.lens) - n + rec
-	f.prev = rec
+	end := len(f.blk.buf) + 4 + f.body
+	appendRecord(f.blk.buf[end:end], t)
+	f.body += rec
 	f.count++
 	x.nextSeq++
 	if x.inj != nil {
@@ -393,22 +387,22 @@ func (x *exportOp) appendLocked(t *spl.Tuple) bool {
 	return true
 }
 
-// sealLocked moves the open frame into the block log as one v2 batch frame.
-// It reports false, leaving the frame open, when the log has no block
-// memory for it. Callers hold amu.
-func (x *exportOp) sealLocked() bool {
+// sealLocked turns the open frame into one sealed v2 batch frame: it writes
+// the length prefix and header in front of the records and extends the
+// block over them. Callers hold amu.
+func (x *exportOp) sealLocked() {
 	f := &x.frame
 	if f.count == 0 {
-		return true
+		return
 	}
-	if x.log.full(4+f.body, x.acked.Load()) {
-		return false
-	}
+	b, start := f.blk, len(f.blk.buf)
+	appendBatchHeader(b.buf[start:start], f.body, f.first, f.count)
+	b.buf = b.buf[:start+4+f.body]
 	f.fx.at = x.log.appended
-	x.log.appendFrame(f.first, f.count, f.lens, f.recs)
+	x.log.stamp(b, 4+f.body, f.first, f.first+uint64(f.count)-1)
+	x.log.hold = false
 	x.sealed(f.count, f.fx)
-	*f = openFrame{lens: f.lens[:0], recs: f.recs[:0]}
-	return true
+	*f = openFrame{}
 }
 
 // sealed books a frame of n tuples just sealed at fx.at: the frame and
@@ -767,10 +761,7 @@ func (x *exportOp) runConn(sess *connSession) {
 				return
 			}
 		}
-		if err := x.sealAndFlush(sess, false); err != nil {
-			if errors.Is(err, errExportClosing) {
-				x.finalDrain(sess)
-			}
+		if x.sealAndFlush(sess) != nil {
 			return
 		}
 		x.progress.Store(time.Now().UnixNano())
@@ -818,48 +809,12 @@ func (x *exportOp) idle() bool {
 	return x.frame.count == 0 && x.log.buffered() == 0 && len(x.fx) == 0
 }
 
-// sealAndFlush seals the open frame and writes everything sealed. When the
-// log has no block memory for the open frame it writes what it has, so the
-// receiver can acknowledge it, and waits for the acknowledgement (bounded by
-// closeFlushTimeout while closing).
-func (x *exportOp) sealAndFlush(sess *connSession, closing bool) error {
-	for {
-		x.amu.Lock()
-		sealed := x.sealLocked()
-		x.amu.Unlock()
-		if err := x.flushSess(sess, ^uint64(0)); err != nil {
-			return err
-		}
-		if sealed {
-			return nil
-		}
-		if err := x.awaitAck(sess, closing); err != nil {
-			return err
-		}
-	}
-}
-
-// awaitAck waits for the receiver's next acknowledgement; it gives up when
-// the connection dies, when the export closes, or — while closing — after
-// closeFlushTimeout.
-func (x *exportOp) awaitAck(sess *connSession, closing bool) error {
-	var timeout <-chan time.Time
-	quit := x.quit
-	if closing {
-		timer := time.NewTimer(closeFlushTimeout)
-		defer timer.Stop()
-		timeout, quit = timer.C, nil
-	}
-	select {
-	case <-x.ackSig:
-		return nil
-	case <-sess.ackDone:
-		return errExportConnLost
-	case <-quit:
-		return errExportClosing
-	case <-timeout:
-		return errExportWindowFull
-	}
+// sealAndFlush seals the open frame and writes everything sealed.
+func (x *exportOp) sealAndFlush(sess *connSession) error {
+	x.amu.Lock()
+	x.sealLocked()
+	x.amu.Unlock()
+	return x.flushSess(sess, ^uint64(0))
 }
 
 // flushSess writes the sealed bytes up to log position limit to the
@@ -936,7 +891,7 @@ func (x *exportOp) flushTo(sess *connSession, upTo uint64) error {
 // left for finish() to account.
 func (x *exportOp) finalDrain(sess *connSession) {
 	for round := 0; round < 3; round++ {
-		if x.sealAndFlush(sess, true) != nil {
+		if x.sealAndFlush(sess) != nil {
 			return
 		}
 		runtime.Gosched()
@@ -1507,6 +1462,7 @@ func (s *importSource) serveConn(conn net.Conn, q *queue.MPMC[frameRef]) {
 		<-tickDone
 	}()
 	dec := newDecoder(conn)
+	defer dec.close()
 	sinceAck, sinceAckBytes := 0, 0
 	for {
 		f, err := dec.readFrame()
