@@ -50,9 +50,8 @@ func main() {
 		clusterC = flag.Duration("clustercycle", 0, "with -cluster, alternate the desired width between the spec maximum and minimum at this interval (0 = hold the spec's desired width)")
 		file     = flag.String("file", "", "run a topology description file instead of a generated shape")
 
-		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
+		streamBlock = flag.Duration("streamblock", 0, "transport: how long a backed-up stream blocks the PE before dropping a tuple; a tiny value trades completeness for latency (0 = 1s default)")
 		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")
-		localEdges  = flag.Bool("localedges", false, "transport: route co-located cross-PE edges through the in-process fast path (direct ring handoff, no TCP); wire-level chaos faults do not apply to local edges")
 
 		schedStats = flag.Bool("schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks) at exit")
 		batch      = flag.Int("batch", 1, "source: tuples emitted per generator turn (larger batches feed the compiled-region path whole batches)")
@@ -73,7 +72,7 @@ func main() {
 	flag.Parse()
 
 	tcfg := pe.TransportConfig{
-		DropOnFull: *streamDrop,
+		BlockTimeout: *streamBlock,
 	}
 	rcfg := resilienceConfig{
 		watchdog:     *watchdog,
@@ -94,7 +93,7 @@ func main() {
 	if *file != "" {
 		err = runFile(*file, *threads, *duration, *period, *trace, *schedStats, ocfg)
 	} else {
-		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, *localEdges, rcfg, *streamStats, *schedStats, ocfg)
+		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, rcfg, *streamStats, *schedStats, ocfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "streamrun:", err)
@@ -243,7 +242,7 @@ func printSched(name string, s metrics.SchedSnapshot) {
 
 func run(shape string, ops, width, depth, payload int, flops float64, skewed bool, srcBatch int,
 	maxThreads int, duration, period time.Duration, dumpTrace bool, pes int, clusterSpec string, clusterCycle time.Duration,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
 	cfg := workload.DefaultConfig()
 	cfg.PayloadBytes = payload
 	cfg.BalancedFLOPs = flops
@@ -274,7 +273,7 @@ func run(shape string, ops, width, depth, payload int, flops float64, skewed boo
 		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, ocfg)
 	}
 	if pes > 1 {
-		return runJob(b, maxThreads, duration, period, pes, tcfg, localEdges, rcfg, streamStats, schedStats, ocfg)
+		return runJob(b, maxThreads, duration, period, pes, tcfg, rcfg, streamStats, schedStats, ocfg)
 	}
 
 	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
@@ -492,7 +491,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 // runJob executes the workload as a multi-PE job, every PE adapting
 // independently.
 func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, pes int,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
 	assign, err := pe.AssignContiguous(b.Graph, pes)
 	if err != nil {
 		return err
@@ -517,7 +516,6 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		},
 		Elastic:        ecfg,
 		Transport:      tcfg,
-		LocalEdges:     localEdges,
 		Fault:          inj,
 		EnableWatchdog: rcfg.watchdog,
 		SampleEvery:    ocfg.sample,
@@ -544,12 +542,8 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		return err
 	}
 	defer job.Stop()
-	streamKind := "TCP"
-	if localEdges {
-		streamKind = "in-process"
-	}
-	fmt.Printf("running %s as %d PEs (%d %s streams) for %s\n",
-		b.Name, pes, len(job.Streams()), streamKind, duration)
+	fmt.Printf("running %s as %d PEs (%d TCP streams) for %s\n",
+		b.Name, pes, len(job.Streams()), duration)
 	start := time.Now()
 	var last uint64
 	for time.Since(start) < duration {
@@ -576,16 +570,12 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 	}
 	if streamStats {
 		for _, st := range job.StreamStats() {
-			kind := "tcp"
-			if st.Local {
-				kind = "local"
-			}
 			framesPerFlush := 0.0
 			if st.Flushes > 0 {
 				framesPerFlush = float64(st.WireFrames) / float64(st.Flushes)
 			}
-			fmt.Printf("stream %d PE%d->PE%d (%s): sent=%d recv=%d dropped=%d bytesSent=%d bytesRecv=%d frames=%d framesRecv=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d dups=%d resumes=%d\n",
-				st.Stream, st.FromPE, st.ToPE, kind, st.Sent, st.Received, st.Dropped,
+			fmt.Printf("stream %d PE%d->PE%d: sent=%d recv=%d dropped=%d bytesSent=%d bytesRecv=%d frames=%d framesRecv=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d dups=%d resumes=%d\n",
+				st.Stream, st.FromPE, st.ToPE, st.Sent, st.Received, st.Dropped,
 				st.BytesSent, st.BytesReceived, st.WireFrames, st.FramesReceived,
 				st.Flushes, framesPerFlush, st.DrainSizes,
 				st.Retransmits, st.Reconnects, st.DupsDropped, st.Resumes)

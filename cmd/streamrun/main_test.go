@@ -12,7 +12,7 @@ import (
 
 func TestRunPipelineLive(t *testing.T) {
 	err := run("pipeline", 10, 4, 8, 64, 5000, false, 8, 4,
-		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
+		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
 		true, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func TestRunPipelineLive(t *testing.T) {
 
 func TestRunSkewedBushy(t *testing.T) {
 	err := run("bushy", 0, 4, 8, 64, 100, true, 1, 2,
-		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
+		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
 		false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestRunSkewedBushy(t *testing.T) {
 func TestRunMultiPE(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{}, false,
+		pe.TransportConfig{},
 		resilienceConfig{watchdog: true, panicBudget: 2}, true,
 		true, obsConfig{})
 	if err != nil {
@@ -39,10 +39,13 @@ func TestRunMultiPE(t *testing.T) {
 	}
 }
 
-func TestRunMultiPELocalEdges(t *testing.T) {
+// TestRunMultiPEShortBlockTimeout runs a multi-PE job whose edges block
+// only a millisecond before dropping (-streamblock 1ms): latency over
+// completeness, end to end.
+func TestRunMultiPEShortBlockTimeout(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{}, true, resilienceConfig{}, true,
+		pe.TransportConfig{BlockTimeout: time.Millisecond}, resilienceConfig{}, true,
 		false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +55,7 @@ func TestRunMultiPELocalEdges(t *testing.T) {
 func TestRunCluster(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 2000, false, 4, 2,
 		2500*time.Millisecond, 100*time.Millisecond, false, 1, "2:4", time.Second,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{})
+		pe.TransportConfig{}, resilienceConfig{}, false, false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +64,14 @@ func TestRunCluster(t *testing.T) {
 func TestRunClusterBadSpec(t *testing.T) {
 	if err := run("pipeline", 8, 4, 8, 64, 2000, false, 1, 2,
 		time.Second, 100*time.Millisecond, false, 1, "4:2", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{}); err == nil {
+		pe.TransportConfig{}, resilienceConfig{}, false, false, obsConfig{}); err == nil {
 		t.Fatal("inverted width spec accepted")
 	}
 }
 
 func TestRunUnknownShape(t *testing.T) {
 	if err := run("triangle", 10, 4, 8, 64, 100, false, 1, 4,
-		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false, false, obsConfig{}); err == nil {
+		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false, false, obsConfig{}); err == nil {
 		t.Fatal("unknown shape accepted")
 	}
 }
@@ -83,7 +86,7 @@ func TestRunWithObs(t *testing.T) {
 	}
 	err := run("pipeline", 6, 4, 8, 64, 2000, false, 4, 2,
 		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, false, ocfg)
+		pe.TransportConfig{}, resilienceConfig{}, false, false, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,67 +172,85 @@ func scrapeStatus(t *testing.T, url string) []monitor.Status {
 }
 
 // TestClusterGrowShrinkConservation scales a live stateful pipeline 2 -> 4
-// -> 2 mid-stream, with no faults, and asserts exactly-once conservation:
-// every generated sequence reaches the sink exactly once, across four
-// region migrations.
+// -> 2 mid-stream, with no faults, across four region migrations. With a
+// minute-long BlockTimeout nothing ever drops, so every generated sequence
+// reaches the sink exactly once. A millisecond timeout may drop tuples on a
+// full edge outside a freeze, so that case asserts only that nothing is
+// duplicated and every migration completes: a frozen edge parks its
+// producers whatever the timeout.
 func TestClusterGrowShrinkConservation(t *testing.T) {
-	const tuples = 60000
-	g, sink := chainJob(t, tuples, 150000)
-	m, err := New(g, Options{
-		Spec: WidthSpec{Min: 2, Max: 4, Step: 1, Desired: 2},
-		PE:   testPEOpts(fault.New(1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(context.Background()); err != nil {
-		m.Stop()
-		t.Fatal(err)
-	}
-	defer m.Stop()
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		exact   bool
+	}{
+		{"block_1m", time.Minute, true},
+		{"block_1ms", time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tuples = 60000
+			g, sink := chainJob(t, tuples, 150000)
+			opts := testPEOpts(fault.New(1))
+			opts.Transport.BlockTimeout = tc.timeout
+			m, err := New(g, Options{
+				Spec: WidthSpec{Min: 2, Max: 4, Step: 1, Desired: 2},
+				PE:   opts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Start(context.Background()); err != nil {
+				m.Stop()
+				t.Fatal(err)
+			}
+			defer m.Stop()
 
-	if got := m.Status().Allocated; got != 2 {
-		t.Fatalf("initial allocation = %d, want 2", got)
-	}
-	if got := len(m.Registries()); got != 3 {
-		t.Fatalf("registries = %d, want 3 (cluster + 2 members)", got)
-	}
+			if got := m.Status().Allocated; got != 2 {
+				t.Fatalf("initial allocation = %d, want 2", got)
+			}
+			if got := len(m.Registries()); got != 3 {
+				t.Fatalf("registries = %d, want 3 (cluster + 2 members)", got)
+			}
 
-	m.SetDesired(4)
-	waitFor(t, "grow to 4", 30*time.Second, func() bool {
-		st := m.Status()
-		return st.Allocated == 4 && st.Pending == ""
-	})
-	if got := len(m.Registries()); got != 5 {
-		t.Fatalf("registries after grow = %d, want 5", got)
-	}
+			m.SetDesired(4)
+			waitFor(t, "grow to 4", 30*time.Second, func() bool {
+				st := m.Status()
+				return st.Allocated == 4 && st.Pending == ""
+			})
+			if got := len(m.Registries()); got != 5 {
+				t.Fatalf("registries after grow = %d, want 5", got)
+			}
 
-	m.SetDesired(2)
-	waitFor(t, "shrink to 2", 30*time.Second, func() bool {
-		st := m.Status()
-		return st.Allocated == 2 && st.Pending == ""
-	})
+			m.SetDesired(2)
+			waitFor(t, "shrink to 2", 30*time.Second, func() bool {
+				st := m.Status()
+				return st.Allocated == 2 && st.Pending == ""
+			})
 
-	waitSinkCount(t, sink, tuples, 60*time.Second)
-	if !m.DrainAndStop(30 * time.Second) {
-		t.Fatal("fleet did not drain")
-	}
+			waitSinkCount(t, sink, tuples, 60*time.Second)
+			if !m.DrainAndStop(30 * time.Second) {
+				t.Fatal("fleet did not drain")
+			}
 
-	if d := sink.dups.Load(); d != 0 {
-		t.Fatalf("sink saw %d duplicate sequences", d)
-	}
-	if n := sink.count.Load(); n != tuples {
-		t.Fatalf("sink saw %d unique sequences, want %d (exactly-once conservation)", n, tuples)
-	}
-	st := m.Status()
-	if st.MigrationsCompleted != 4 {
-		t.Errorf("migrations completed = %d, want 4 (2 splits + 2 merges)", st.MigrationsCompleted)
-	}
-	if st.MigrationsAborted != 0 {
-		t.Errorf("migrations aborted = %d, want 0", st.MigrationsAborted)
-	}
-	if st.Generation != 4 {
-		t.Errorf("generation = %d, want 4", st.Generation)
+			if d := sink.dups.Load(); d != 0 {
+				t.Fatalf("sink saw %d duplicate sequences", d)
+			}
+			n := sink.count.Load()
+			if tc.exact && n != tuples {
+				t.Fatalf("sink saw %d unique sequences, want %d (exactly-once conservation)", n, tuples)
+			}
+			t.Logf("sink saw %d of %d sequences", n, tuples)
+			st := m.Status()
+			if st.MigrationsCompleted != 4 {
+				t.Errorf("migrations completed = %d, want 4 (2 splits + 2 merges)", st.MigrationsCompleted)
+			}
+			if st.MigrationsAborted != 0 {
+				t.Errorf("migrations aborted = %d, want 0", st.MigrationsAborted)
+			}
+			if st.Generation != 4 {
+				t.Errorf("generation = %d, want 4", st.Generation)
+			}
+		})
 	}
 }
 
@@ -321,9 +339,9 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestClusterOptionValidation pins the rejected configurations: the
-// migration protocol needs ungated acks, TCP retransmit machinery, and
-// blocking backpressure.
+// TestClusterOptionValidation pins the rejected configurations: the one PE
+// option migration cannot take is checkpointing, whose ack gating breaks the
+// seeded resume handshake, and the width spec must fit the graph.
 func TestClusterOptionValidation(t *testing.T) {
 	g, _ := chainJob(t, 10, 0)
 	base := Options{Spec: WidthSpec{Min: 1, Max: 2}}
@@ -332,16 +350,6 @@ func TestClusterOptionValidation(t *testing.T) {
 	bad.PE.Checkpoint.Enabled = true
 	if _, err := New(g, bad); err == nil {
 		t.Error("checkpointing accepted")
-	}
-	bad = base
-	bad.PE.LocalEdges = true
-	if _, err := New(g, bad); err == nil {
-		t.Error("local edges accepted")
-	}
-	bad = base
-	bad.PE.Transport.DropOnFull = true
-	if _, err := New(g, bad); err == nil {
-		t.Error("DropOnFull accepted")
 	}
 	bad = base
 	bad.Spec = WidthSpec{Min: 2, Max: 100}

@@ -22,9 +22,10 @@ type Options struct {
 	// Spec is the malleable width declaration the reconciler enforces.
 	Spec WidthSpec
 	// PE configures every member PE (engine, elasticity, transport, fault
-	// injection). Checkpointing, local edges, and DropOnFull transports are
-	// rejected: migration's seeded resume handshake needs the TCP
-	// retransmit machinery with ungated acks and lossless backpressure.
+	// injection). Checkpointing is rejected: migration's seeded resume
+	// handshake needs ungated acks. A frozen edge parks its producers
+	// whatever Transport.BlockTimeout is, so a short timeout drops only
+	// outside a migration's freeze.
 	PE pe.Options
 	// ReconcileInterval is the reconcile loop's cadence (default 100ms).
 	ReconcileInterval time.Duration
@@ -143,12 +144,6 @@ func New(g *graph.Graph, opts Options) (*Manager, error) {
 	p := opts.PE
 	if p.Checkpoint.Enabled {
 		return nil, fmt.Errorf("cluster: checkpointing is incompatible with migration (ack gating at the checkpoint floor breaks the seeded resume handshake)")
-	}
-	if p.LocalEdges || p.LocalEdgeFor != nil {
-		return nil, fmt.Errorf("cluster: local edges have no retransmit machinery; migration needs TCP streams")
-	}
-	if p.Transport.DropOnFull {
-		return nil, fmt.Errorf("cluster: DropOnFull transports lose tuples while an edge is frozen; migration needs blocking backpressure")
 	}
 	if p.DialTimeout == 0 {
 		p.DialTimeout = 5 * time.Second
@@ -301,11 +296,7 @@ func (m *Manager) wireFresh(st *streamRT, exp *pe.Export, imp *pe.Import, from, 
 		return acc.err
 	}
 	exp.Configure(m.peOpts.Transport, m.peOpts.Fault, st.id, m.rec, from.id)
-	if err := exp.Connect(conn, addr); err != nil {
-		_ = acc.conn.Close()
-		_ = ln.Close()
-		return err
-	}
+	exp.Connect(conn, addr)
 	imp.Configure(m.rec, to.id, st.id)
 	imp.Connect(acc.conn, ln)
 	exp.RegisterMetrics(from.reg, st.id, to.id)

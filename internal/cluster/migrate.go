@@ -386,9 +386,7 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 		if err != nil {
 			return abort(fmt.Errorf("cluster: redial stream %d: %w", st.id, err))
 		}
-		if err := exp.Connect(conn, st.addr); err != nil {
-			return abort(fmt.Errorf("cluster: reconnect stream %d: %w", st.id, err))
-		}
+		exp.Connect(conn, st.addr)
 		exp.RegisterMetrics(fromMem.reg, st.id, st.toMember)
 		updates = append(updates, streamUpdate{
 			st: st, exp: exp, addr: st.addr,

@@ -53,7 +53,7 @@ const (
 	// holding for replay right now — the retransmit window in bytes.
 	MetricTransportUnackedBytes = "transport_unacked_bytes"
 	// MetricTransportDrainSize is the histogram of tuples per sealed wire
-	// frame (per ring pop on a local edge). The name is kept from when it
+	// frame. The name is kept from when it
 	// counted staging-ring drains: dashboards and /statusz read it.
 	MetricTransportDrainSize = "transport_drain_size"
 

@@ -65,9 +65,7 @@ func BenchmarkExportImport(b *testing.B) {
 			// A long block timeout makes the benchmark lossless: a spent
 			// budget applies backpressure instead of dropping under burst.
 			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
-			if err := exp.connect(send, ""); err != nil {
-				b.Fatal(err)
-			}
+			exp.connect(send, "")
 			imp := newImportSource("i")
 			imp.connect(recv, nil)
 			_, done := runImportDrain(imp, uint64(b.N))
@@ -101,9 +99,7 @@ func BenchmarkExportImportWire(b *testing.B) {
 			send, recv := loopbackPair(b)
 			exp := newExportOp("x")
 			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
-			if err := exp.connect(send, ""); err != nil {
-				b.Fatal(err)
-			}
+			exp.connect(send, "")
 			imp := newImportSource("i")
 			imp.connect(recv, nil)
 			_, done := runImportDrain(imp, uint64(b.N))

@@ -21,9 +21,7 @@ func wiredExport(t *testing.T, cfg TransportConfig) (*exportOp, net.Conn) {
 	exp := newExportOp("x")
 	cfg.RetransmitBytes = 2 * logBlockBytes
 	exp.cfg = cfg.withDefaults()
-	if err := exp.connect(send, ""); err != nil {
-		t.Fatal(err)
-	}
+	exp.connect(send, "")
 	t.Cleanup(func() {
 		_ = peer.Close()
 		exp.close()
@@ -80,8 +78,8 @@ func sealFlush(tb testing.TB, x *exportOp, w io.Writer) {
 // TestExportBatchEquivalence pins the BatchProcessor contract on the export:
 // ProcessBatch(ts) sends the same tuples in the same order, and moves the
 // same counters, as Process called on each tuple — with room in the log,
-// with the log overflowing under DropOnFull, with the log already full, and
-// on a stream that cannot take tuples at all.
+// with the log overflowing under a microsecond BlockTimeout, with the log
+// already full, and on a stream that cannot take tuples at all.
 func TestExportBatchEquivalence(t *testing.T) {
 	const n = 3*64 + 7 // several producer batches and a ragged tail
 	cases := []struct {
@@ -91,8 +89,8 @@ func TestExportBatchEquivalence(t *testing.T) {
 		prep    func(*exportOp, net.Conn)
 	}{
 		{"log has room", 24, TransportConfig{}, nil},
-		{"log overflows, DropOnFull", 2048, TransportConfig{DropOnFull: true}, nil},
-		{"log already full, DropOnFull", 24, TransportConfig{DropOnFull: true}, func(x *exportOp, _ net.Conn) {
+		{"log overflows, 1µs timeout", 2048, TransportConfig{BlockTimeout: time.Microsecond}, nil},
+		{"log already full, 1µs timeout", 24, TransportConfig{BlockTimeout: time.Microsecond}, func(x *exportOp, _ net.Conn) {
 			x.ProcessBatch(0, logTuples(900, 600, 1024), nil)
 		}},
 		{"closed stream", 24, TransportConfig{}, func(x *exportOp, peer net.Conn) {
@@ -186,9 +184,7 @@ func TestExportConcurrentProducers(t *testing.T) {
 	send, recv := loopbackPair(t)
 	exp := newExportOp("x")
 	exp.cfg = TransportConfig{RetransmitBytes: 4 * logBlockBytes, BlockTimeout: time.Minute}.withDefaults()
-	if err := exp.connect(send, ""); err != nil {
-		t.Fatal(err)
-	}
+	exp.connect(send, "")
 	defer exp.close()
 	imp := newImportSource("i")
 	imp.connect(recv, nil)

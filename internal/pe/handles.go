@@ -56,7 +56,7 @@ func (e *Export) SeedSequence(n uint64) { e.x.seedSequence(n) }
 
 // Connect attaches the first connection and starts the writer goroutine; a
 // non-empty addr enables redial-and-resume after a lost connection.
-func (e *Export) Connect(conn net.Conn, addr string) error { return e.x.connect(conn, addr) }
+func (e *Export) Connect(conn net.Conn, addr string) { e.x.connect(conn, addr) }
 
 // Freeze parks the stream: the writer writes what was appended, then
 // stops, and producers that find the budget spent wait for the thaw instead
@@ -81,9 +81,8 @@ func (e *Export) SeqHigh() uint64 { return e.x.seqHigh.Load() }
 // Acked returns the receiver's acknowledged wire-sequence watermark.
 func (e *Export) Acked() uint64 { return e.x.acked.Load() }
 
-// StagedDepth returns what the edge holds but has not handed on: bytes
-// appended but not yet written (open frame included) on a wire edge, tuples
-// in the ring on a local one.
+// StagedDepth returns the bytes appended but not yet written to the socket,
+// open frame included.
 func (e *Export) StagedDepth() int { return e.x.StagedDepth() }
 
 // RetransTuples returns the tuples rewritten by resume handshakes — the

@@ -31,25 +31,9 @@ type Options struct {
 	DisableElasticity bool
 	// DialTimeout bounds stream wiring at launch (default 5s).
 	DialTimeout time.Duration
-	// Transport tunes every cross-PE stream (staging ring, flush policy,
-	// backpressure mode, retransmit window, reconnect backoff); the zero
-	// value means defaults.
+	// Transport tunes every cross-PE stream (retransmit budget, full-edge
+	// timeout, reconnect backoff); the zero value means defaults.
 	Transport TransportConfig
-	// LocalEdges routes every cross-PE stream through the in-process fast
-	// path: since all PEs of a Job share one process, a co-located edge can
-	// hand pooled tuple clones straight from the export's staging ring to the
-	// peer import, skipping encode/frame/TCP/decode entirely. The edge keeps
-	// the staging ring's backpressure and drop accounting and still reports
-	// StreamStats (Sent/Received/batch sizes), but wire-only counters —
-	// bytes, flushes, retransmits, reconnects — stay truthfully zero, and the
-	// reliability machinery is exempt (the handoff is lossless by
-	// construction). Opt-in because wire-fault chaos hooks and byte-level
-	// accounting only exist on TCP edges.
-	LocalEdges bool
-	// LocalEdgeFor, when set, decides per edge whether it takes the
-	// in-process fast path (overrides LocalEdges), so a job can mix local
-	// and TCP delivery.
-	LocalEdgeFor func(CrossEdge) bool
 	// Fault optionally injects deterministic faults into every PE's
 	// operators and streams (chaos testing); nil means none. Operator sites
 	// are fault.OpSite(pe, node); stream sites are the cross-edge stream id.
@@ -163,15 +147,8 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 		})
 	}
 
-	// Wire streams: co-located edges taking the in-process fast path skip
-	// the network entirely; the rest get one listener per cross edge on the
-	// receiving side, and the sending side dials.
-	isLocal := func(ce CrossEdge) bool {
-		if opts.LocalEdgeFor != nil {
-			return opts.LocalEdgeFor(ce)
-		}
-		return opts.LocalEdges
-	}
+	// Wire streams: one listener per cross edge on the receiving side, and
+	// the sending side dials.
 	listeners := make([]net.Listener, len(crosses))
 	defer func() {
 		for _, l := range listeners {
@@ -180,10 +157,7 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 			}
 		}
 	}()
-	for i, ce := range crosses {
-		if isLocal(ce) {
-			continue
-		}
+	for i := range crosses {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			job.closeConns()
@@ -196,13 +170,6 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 		job.closeConns()
 	}
 	for i, ce := range crosses {
-		if isLocal(ce) {
-			if err := wireLocalStream(plans, ce, opts, rec); err != nil {
-				abort()
-				return nil, fmt.Errorf("pe: wire local stream %d: %w", i, err)
-			}
-			continue
-		}
 		acceptCh := acceptOne(listeners[i])
 		addr := listeners[i].Addr().String()
 		sendConn, err := dialStream(addr, opts.DialTimeout)
@@ -229,11 +196,7 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 				sender.exports[j].site = ce.Stream
 				sender.exports[j].rec = rec
 				sender.exports[j].recPE = int32(ce.FromPE)
-				if err := sender.exports[j].connect(sendConn, addr); err != nil {
-					_ = acc.conn.Close()
-					abort()
-					return nil, fmt.Errorf("pe: wire stream %d: %w", i, err)
-				}
+				sender.exports[j].connect(sendConn, addr)
 			}
 		}
 		receiver := plans[ce.ToPE]
@@ -261,15 +224,14 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 }
 
 // wireCheckpointer attaches a checkpoint coordinator to one PE: a durable
-// file log (or in-memory store), and — when the PE has exactly one TCP
-// import — the transport hooks that make recovery exactly-once: the cut is
+// file log (or in-memory store), and — when the PE has exactly one import —
+// the transport hooks that make recovery exactly-once: the cut is
 // stamped with the import's emit watermark, acks upstream are gated at the
 // last committed cut so the sender's block log retains the replay range, the
 // import asks for an early cut when half the log's byte budget has arrived
 // past the last commit (so the budget never gates throughput), and recovery
 // rewinds the import to the cut before readmitting tuples. A PE with
-// multiple imports (or only local edges, which have no
-// retransmit machinery) still checkpoints and restores, but recovery is
+// several imports still checkpoints and restores, but recovery is
 // restore-only: a single watermark cannot name a cut across several
 // independent wire-sequence domains.
 func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
@@ -288,61 +250,19 @@ func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
 		Interval:  opts.Checkpoint.Interval,
 		FullEvery: opts.Checkpoint.FullEvery,
 	}
-	var tcp []*importSource
-	for _, imp := range plan.imports {
-		if imp.peer == nil {
-			tcp = append(tcp, imp)
-		}
-	}
-	if len(tcp) == 1 {
-		imp := tcp[0]
+	if len(plan.imports) == 1 {
+		imp := plan.imports[0]
 		imp.gateAcks()
 		cfg.Watermark = imp.cutWatermark
 		cfg.Rewind = imp.rewind
 		cfg.CommitFloor = imp.advanceAckFloor
 	}
 	rt.Ckpt = exec.NewCheckpointer(rt.Eng, cfg)
-	if len(tcp) == 1 {
+	if len(plan.imports) == 1 {
 		budget := opts.Transport.withDefaults().RetransmitBytes
-		tcp[0].armPressure(uint64(budget/pressureShare), rt.Ckpt.RequestCut)
+		plan.imports[0].armPressure(uint64(budget/pressureShare), rt.Ckpt.RequestCut)
 	}
 	return rt.Ckpt.Restore()
-}
-
-// wireLocalStream attaches both halves of an in-process edge: the export
-// pushes pooled clones into a tuple ring, and the peer import pops the ring
-// directly. Wire-fault injection points (conn
-// kill, frame corrupt, writer stall) live on the TCP path only, so
-// opts.Fault is deliberately not attached; operator-level faults in the
-// surrounding PEs are unaffected.
-func wireLocalStream(plans []*Plan, ce CrossEdge, opts Options, rec *obs.FlightRecorder) error {
-	sender := plans[ce.FromPE]
-	var exp *exportOp
-	for j, end := range sender.Exports {
-		if end.Stream == ce.Stream {
-			sender.exports[j].cfg = opts.Transport.withDefaults()
-			sender.exports[j].site = ce.Stream
-			sender.exports[j].rec = rec
-			sender.exports[j].recPE = int32(ce.FromPE)
-			if err := sender.exports[j].connectLocal(); err != nil {
-				return err
-			}
-			exp = sender.exports[j]
-		}
-	}
-	if exp == nil {
-		return fmt.Errorf("pe: stream %d has no export endpoint", ce.Stream)
-	}
-	receiver := plans[ce.ToPE]
-	for j, end := range receiver.Imports {
-		if end.Stream == ce.Stream {
-			receiver.imports[j].rec = rec
-			receiver.imports[j].recPE = int32(ce.ToPE)
-			receiver.imports[j].site = ce.Stream
-			receiver.imports[j].connectLocal(exp)
-		}
-	}
-	return nil
 }
 
 // closeEndpoints shuts down every stream endpoint wired so far; used when a
@@ -440,7 +360,6 @@ func (j *Job) StreamStats() []StreamStats {
 		for i, end := range sender.Exports {
 			if end.Stream == ce.Stream {
 				exp := sender.exports[i]
-				st.Local = exp.local.Load()
 				st.Sent = exp.Sent()
 				st.WireFrames = exp.WireFrames()
 				st.Dropped = exp.Dropped()

@@ -45,7 +45,7 @@ func registerExportMetrics(r *obs.Registry, exp *exportOp, stream int, peer stri
 		func() float64 { return float64(exp.Unacked()) }, l...)
 	r.SetGaugeFunc(obs.MetricTransportUnackedBytes, "Block memory the export's log holds for replay (the retransmit window in bytes).",
 		func() float64 { return float64(exp.UnackedBytes()) }, l...)
-	r.SetHistogramFunc(obs.MetricTransportDrainSize, "Tuples per sealed wire frame (per ring pop on a local edge).",
+	r.SetHistogramFunc(obs.MetricTransportDrainSize, "Tuples per sealed wire frame.",
 		exp.batchSnapshot, l...)
 }
 

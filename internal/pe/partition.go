@@ -110,7 +110,7 @@ func Partition(g *graph.Graph, assign Assignment) ([]*Plan, []CrossEdge, error) 
 		plan.LocalOf[i] = local
 	}
 
-	// Edges: local edges copy through; cross edges become export/import
+	// Edges: intra-PE edges copy through; cross edges become export/import
 	// stubs.
 	var crosses []CrossEdge
 	for i := 0; i < n; i++ {

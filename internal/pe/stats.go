@@ -12,15 +12,12 @@ import (
 // each time it runs, so frames per write follow the load and an idle
 // stream never holds a tuple back.
 type TransportConfig struct {
-	// DropOnFull makes the export drop (and count) tuples when the edge is
-	// full — the block log's budget spent, or 1 MiB of sealed frames waiting
-	// for the socket — instead of applying backpressure: latency over
-	// completeness. The default is bounded
-	// blocking: a full edge blocks the producing scheduler thread up to
-	// BlockTimeout, then drops.
-	DropOnFull bool
-	// BlockTimeout bounds a blocked export when DropOnFull is unset
-	// (default 1s); on expiry the tuple is dropped and counted.
+	// BlockTimeout bounds how long a full edge — the block log's budget
+	// spent, or 1 MiB of sealed frames waiting for the socket — blocks the
+	// producing scheduler thread (default 1s, also for any value ≤ 0); on
+	// expiry the tuple is dropped and counted. A tiny timeout trades
+	// completeness for latency. A frozen edge parks its producers until the
+	// thaw whatever the timeout, so a migration loses nothing.
 	BlockTimeout time.Duration
 	// RetransmitBytes is the byte budget of the export's block log — the
 	// block memory holding encoded frames until the receiver acknowledges
@@ -76,11 +73,10 @@ func (c TransportConfig) withDefaults() TransportConfig {
 }
 
 // batchHistBuckets is the number of log2 batch-size buckets: bucket i
-// counts sealed frames (local-edge pops) of [2^i, 2^(i+1)) tuples.
+// counts sealed frames of [2^i, 2^(i+1)) tuples.
 const batchHistBuckets = 8
 
-// batchHist is a lock-free histogram of tuples per sealed frame (per pop on
-// a local edge); it shows whether the stream coalesces (high buckets) or
+// batchHist is a lock-free histogram of tuples per sealed frame; it shows whether the stream coalesces (high buckets) or
 // runs tuple-at-a-time.
 type batchHist [batchHistBuckets]atomic.Uint64
 
@@ -117,18 +113,13 @@ type StreamStats struct {
 	FromPE int
 	ToPE   int
 
-	// Local reports the in-process fast path: tuples crossed as direct ring
-	// handoffs, so Sent/Received/Dropped/DrainSizes (pop sizes) are live but the
-	// wire-only counters (bytes, frames, flushes, retransmits, reconnects,
-	// dups, resumes) are truthfully zero.
-	Local bool
-
 	// Send side: tuples encoded onto the wire, batch frames sealed
 	// (Sent/WireFrames is the batch amortization ratio, WireFrames/Flushes
 	// the frames per flush), tuples dropped (stream not wired, errored, or
 	// block log full past the blocking budget), wire bytes written,
-	// explicit flush syscalls, and the histogram of tuples per sealed frame
-	// (log2 buckets). Several frames usually coalesce into one flush.
+	// explicit flush syscalls, and DrainSizes, the histogram of tuples per
+	// sealed frame (log2 buckets; the name predates the frame log). Several
+	// frames usually coalesce into one flush.
 	Sent       uint64
 	WireFrames uint64
 	Dropped    uint64

@@ -30,14 +30,6 @@ const importPollInterval = 20 * time.Millisecond
 // execution.
 const importRingFrames = 8
 
-// localRingCapacity sizes an in-process edge's tuple ring (a power of two).
-const localRingCapacity = 1024
-
-// localPopMax bounds how many tuples one Next takes off an in-process edge's
-// ring, so a single operator-thread wake drains a burst without starving the
-// engine's pause barrier.
-const localPopMax = 64
-
 // writerBatchTuples caps the records of one batch frame: the open frame is
 // sealed before it would take one more.
 const writerBatchTuples = 128
@@ -127,17 +119,12 @@ type exportOp struct {
 	fx       []frameFx // sealed frames whose fault effects are not applied yet
 	frozenAt uint64    // log position the last freeze sealed up to
 
-	// ring is an in-process edge's handoff (nil on a wire edge): the peer
-	// import pops pooled clones straight off it.
-	ring *queue.MPMC[*spl.Tuple]
-
 	wired     atomic.Bool
 	parked    atomic.Bool
 	closed    atomic.Bool
 	frozen    atomic.Bool  // migration freeze: writer parks, producers wait
 	failed    atomic.Bool  // permanent: connection lost with no redial address
 	connected atomic.Bool  // current connection attached and healthy
-	local     atomic.Bool  // in-process edge: peer import pops the ring directly
 	progress  atomic.Int64 // unix nanos of the writer's last useful work
 
 	acked  atomic.Uint64 // receiver's acknowledged wire-sequence watermark
@@ -191,9 +178,9 @@ func newExportOp(name string) *exportOp {
 // Name returns the operator name.
 func (x *exportOp) Name() string { return x.name }
 
-// RecyclesTuples marks the export as a recyclable sink: Process never
-// retains the tuple it is handed — a wire edge encodes it, a local edge
-// hands on a pooled clone — so the engine returns the original to the pool.
+// RecyclesTuples marks the export as a recyclable sink: Process encodes the
+// tuple it is handed and never retains it, so the engine returns it to the
+// pool.
 func (x *exportOp) RecyclesTuples() {}
 
 // connect attaches the stream's first connection and starts the writer
@@ -201,75 +188,20 @@ func (x *exportOp) RecyclesTuples() {}
 // reconnection: on a lost connection the writer redials it and resumes from
 // the block log. With addr empty the first connection is the only
 // one, and losing it fails the stream permanently (tuples drop-and-count).
-func (x *exportOp) connect(conn net.Conn, addr string) error {
+func (x *exportOp) connect(conn net.Conn, addr string) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.conn = conn
 	x.addr = addr
 	x.log = newBlockLog(x.cfg.RetransmitBytes)
-	x.initSignals()
-	go x.writerLoop(conn)
-	x.wired.Store(true)
-	return nil
-}
-
-// initSignals makes the endpoint's wake, space, quit, done and ack channels.
-func (x *exportOp) initSignals() {
 	x.wake = make(chan struct{}, 1)
 	x.space = make(chan struct{}, 1)
 	x.quit = make(chan struct{})
 	x.done = make(chan struct{})
 	x.ackSig = make(chan struct{}, 1)
 	x.progress.Store(time.Now().UnixNano())
-}
-
-// connectLocal wires the export as the sending half of an in-process edge:
-// Process pushes pooled clones into a tuple ring — with the wire path's
-// backpressure, drop accounting and wake protocol — but no writer goroutine,
-// encoder, or connection exists. The co-located peer import pops the ring
-// directly via localPop, so a tuple crosses the edge as one pooled clone
-// handoff with no encode/frame/TCP/decode in between. The edge is in-process
-// and lossless by construction, so the reliability machinery (retransmit
-// window, acks, resume) is exempt and its counters stay zero.
-func (x *exportOp) connectLocal() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	ring, err := queue.NewMPMC[*spl.Tuple](localRingCapacity)
-	if err != nil {
-		return fmt.Errorf("pe: export %s local ring: %w", x.name, err)
-	}
-	x.ring = ring
-	x.initSignals()
-	// No writer goroutine: done starts closed so close() never waits.
-	close(x.done)
-	x.local.Store(true)
-	x.connected.Store(true)
+	go x.writerLoop(conn)
 	x.wired.Store(true)
-	return nil
-}
-
-// localPop transfers up to len(batch) staged tuples to the co-located peer
-// import, which owns them outright afterwards. Counters mirror the wire
-// path's bookkeeping at the same point in a tuple's life: sent when it
-// leaves the ring, a batch-size sample per pop, progress for the watchdog's
-// stall probe — but bytes and flushes stay zero, because no wire was touched
-// and lying about it would poison the obs series.
-func (x *exportOp) localPop(batch []*spl.Tuple) int {
-	n := x.ring.TryPopN(batch)
-	if n == 0 {
-		return 0
-	}
-	x.batches.record(n)
-	x.sent.Add(uint64(n))
-	x.progress.Store(time.Now().UnixNano())
-	x.signalSpace()
-	return n
-}
-
-// localDrained reports whether a local export is closed with nothing left to
-// pop — the peer import's end-of-stream condition.
-func (x *exportOp) localDrained() bool {
-	return x.closed.Load() && x.ring.Len() == 0
 }
 
 // accepting reports whether the stream can take tuples at all: wired, not
@@ -287,17 +219,13 @@ func (x *exportOp) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
 // ProcessBatch encodes a batch into the open frame under one append lock
 // and wakes a parked writer once at the end. Tuples arriving before the
 // stream is wired, after close, or after a permanent failure are counted as
-// dropped. A tuple that finds the block log's budget spent takes stageSlow:
-// it drops at once under DropOnFull, else blocks the producing scheduler
-// thread up to BlockTimeout, and the rest of the batch follows behind it, so
-// order, counters and backpressure are those of per-tuple Process calls.
+// dropped. A tuple that finds the block log's budget spent takes stageSlow,
+// which blocks the producing scheduler thread up to BlockTimeout, and the
+// rest of the batch follows behind it, so order, counters and backpressure
+// are those of per-tuple Process calls.
 func (x *exportOp) ProcessBatch(_ int, ts []*spl.Tuple, _ spl.Emitter) {
 	if !x.accepting() {
 		x.dropped.Add(uint64(len(ts)))
-		return
-	}
-	if x.ring != nil {
-		x.stageLocal(ts)
 		return
 	}
 	x.amu.Lock()
@@ -307,7 +235,7 @@ func (x *exportOp) ProcessBatch(_ int, ts []*spl.Tuple, _ spl.Emitter) {
 		}
 		x.publishLocked()
 		x.amu.Unlock()
-		if !x.stageSlow(func() bool { return x.appendOne(t) }) {
+		if !x.stageSlow(t) {
 			x.dropped.Add(1)
 		}
 		x.amu.Lock()
@@ -439,34 +367,18 @@ func (x *exportOp) publishLocked() {
 	}
 }
 
-// stageLocal hands pooled clones of ts to the co-located import through the
-// tuple ring, with the wire path's backpressure and drop accounting.
-func (x *exportOp) stageLocal(ts []*spl.Tuple) {
-	for _, t := range ts {
-		c := t.Clone()
-		if !x.ring.TryPush(c) && !x.stageSlow(func() bool { return x.ring.TryPush(c) }) {
-			c.Release()
-			x.dropped.Add(1)
-		}
-	}
-	x.wakeWriter()
-}
-
-// stageSlow is the full-edge path: give up at once under DropOnFull, else
-// retry try on every space signal up to BlockTimeout. A frozen edge parks
-// the producer instead, with the timeout suspended until the thaw; close or
-// a permanent failure gives up. It reports whether try took the tuple.
-func (x *exportOp) stageSlow(try func() bool) bool {
-	if x.cfg.DropOnFull {
-		return false
-	}
+// stageSlow is the full-edge path: retry appending t on every space signal
+// up to BlockTimeout. A frozen edge parks the producer instead, with the
+// timeout suspended until the thaw; close or a permanent failure gives up.
+// It reports whether t was appended.
+func (x *exportOp) stageSlow(t *spl.Tuple) bool {
 	// Park on the space signal rather than spinning: a yield loop on a
 	// saturated box burns the producing core in scheduler churn and starves
 	// the very goroutine that must free space.
 	timer := time.NewTimer(x.cfg.BlockTimeout)
 	defer timer.Stop()
 	for !x.closed.Load() && !x.failed.Load() {
-		if try() {
+		if x.appendOne(t) {
 			x.signalSpace() // there may be room for the next parked producer too
 			return true
 		}
@@ -576,9 +488,8 @@ func (x *exportOp) currentAddr() string {
 	return x.addr
 }
 
-// wakeWriter nudges a parked writer (or, on a local edge, a parked peer
-// import). The writer re-checks for work after setting parked, so an append
-// that misses the flag is still observed.
+// wakeWriter nudges a parked writer. The writer re-checks for work after
+// setting parked, so an append that misses the flag is still observed.
 func (x *exportOp) wakeWriter() {
 	if x.parked.Load() {
 		select {
@@ -979,16 +890,12 @@ func (x *exportOp) Unacked() uint64 { return x.unacked.Load() }
 // blocks holding frames the receiver has not acknowledged yet.
 func (x *exportOp) UnackedBytes() int64 { return x.window.Load() }
 
-// StagedDepth returns what the edge holds but has not handed on: on a wire
-// edge the bytes appended but not yet written to the socket, open frame
-// included; on a local edge the tuples in the ring. Zero means everything
-// appended has left the export.
+// StagedDepth returns the bytes the edge has appended but not yet written
+// to the socket, open frame included. Zero means everything appended has
+// left the export.
 func (x *exportOp) StagedDepth() int {
 	if !x.wired.Load() {
 		return 0
-	}
-	if x.ring != nil {
-		return x.ring.Len()
 	}
 	x.amu.Lock()
 	defer x.amu.Unlock()
@@ -1025,27 +932,6 @@ func (x *exportOp) close() {
 	if quit != nil {
 		close(quit)
 		<-done
-	}
-	if x.local.Load() {
-		// No writer goroutine settled the books: leftover clones the peer
-		// never popped drop-and-count here so pushed == sent + dropped
-		// converges, exactly as finish() does for a wire stream. The peer
-		// may race a final pop; MPMC keeps the split disjoint.
-		x.connected.Store(false)
-		var batch [localPopMax]*spl.Tuple
-		for {
-			n := x.ring.TryPopN(batch[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				x.dropped.Add(1)
-				batch[i].Release()
-				batch[i] = nil
-			}
-			x.signalSpace()
-		}
-		return
 	}
 	x.mu.Lock()
 	if x.conn != nil {
@@ -1092,14 +978,9 @@ type importSource struct {
 	inWake  chan struct{}
 	inSpace chan struct{}
 
-	// rbatch is the operator thread's build (or, on a local edge, pop)
-	// scratch; only the thread driving Next touches it.
+	// rbatch is the operator thread's build scratch; only the thread driving
+	// Next touches it.
 	rbatch []*spl.Tuple
-
-	// peer is the in-process fast path: a non-nil peer means this import pops
-	// the co-located export's tuple ring directly (no reader goroutine, frame
-	// ring, or connection exists).
-	peer *exportOp
 
 	// timer is the reusable idle-poll timer; only the operator thread
 	// driving Next touches it.
@@ -1247,10 +1128,10 @@ func (s *importSource) cutWatermark() uint64 {
 // the dedup/resume watermarks reset so the next handshake makes the sender
 // retransmit (to, head] from its log. Called with the engine paused, so no
 // Next is in flight; replayed tuples re-enter the pipeline exactly as live
-// ones. No-op on local edges, closed streams, or when `to` is ahead of this
-// stream's delivery (foreign watermark).
+// ones. No-op on closed streams, or when `to` is ahead of this stream's
+// delivery (foreign watermark).
 func (s *importSource) rewind(to uint64) {
-	if s.peer != nil || s.closed.Load() {
+	if s.closed.Load() {
 		return
 	}
 	s.mu.Lock()
@@ -1338,17 +1219,6 @@ func (s *importSource) connect(conn net.Conn, ln net.Listener) {
 	s.rbatch = make([]*spl.Tuple, maxBatchTuples)
 	s.done = make(chan struct{})
 	go s.readLoop(conn, s.inq, s.done)
-}
-
-// connectLocal wires the import as the receiving half of an in-process
-// edge: Next pops the co-located export's tuple ring directly instead of
-// building frames a reader goroutine hands over. Must happen before the
-// engine starts, after the export's connectLocal.
-func (s *importSource) connectLocal(exp *exportOp) {
-	s.mu.Lock()
-	s.peer = exp
-	s.rbatch = make([]*spl.Tuple, localPopMax)
-	s.mu.Unlock()
 }
 
 func (s *importSource) setConn(conn net.Conn) {
@@ -1566,9 +1436,6 @@ func (s *importSource) signalInSpace() {
 // is idle for a poll interval, and returns false only once the stream has
 // ended and drained.
 func (s *importSource) Next(out spl.Emitter) bool {
-	if s.peer != nil {
-		return s.nextLocal(out)
-	}
 	s.mu.Lock()
 	q, done := s.inq, s.done
 	s.mu.Unlock()
@@ -1629,54 +1496,6 @@ func (s *importSource) emitFrame(out spl.Emitter, q *queue.MPMC[frameRef]) bool 
 	}
 	s.signalInSpace()
 	s.emitN(out, buildFrame(f, s.rbatch))
-	return true
-}
-
-// nextLocal is the in-process edge's Next: pop a batch straight off the
-// peer export's tuple ring and emit it — ownership of the pooled clones
-// transfers to this PE's runtime, which releases them downstream exactly as
-// it would built tuples. On an empty ring it parks on the export's wake
-// protocol (the same parked-flag handshake the writer goroutine uses, so
-// Process's wakeWriter nudges the import instead), bounded by the reusable
-// poll timer so engine reconfiguration is never stalled by a quiet edge.
-func (s *importSource) nextLocal(out spl.Emitter) bool {
-	p := s.peer
-	n := p.localPop(s.rbatch)
-	if n > 0 {
-		for i := 0; i < n; i++ {
-			out.Emit(0, s.rbatch[i])
-			s.rbatch[i] = nil
-		}
-		s.received.Add(uint64(n))
-		return true
-	}
-	if s.closed.Load() || p.localDrained() {
-		return false
-	}
-	p.parked.Store(true)
-	if p.ring.Len() > 0 {
-		p.parked.Store(false)
-		return true
-	}
-	if s.timer == nil {
-		s.timer = time.NewTimer(importPollInterval)
-	} else {
-		s.timer.Reset(importPollInterval)
-	}
-	fired := false
-	select {
-	case <-p.wake:
-	case <-p.quit:
-	case <-s.timer.C:
-		fired = true
-	}
-	p.parked.Store(false)
-	if !fired && !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
 	return true
 }
 
