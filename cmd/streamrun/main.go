@@ -15,7 +15,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"streamelastic"
@@ -28,7 +27,6 @@ import (
 	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
 	"streamelastic/internal/pe"
-	"streamelastic/internal/state"
 	"streamelastic/internal/workload"
 )
 
@@ -56,9 +54,9 @@ func main() {
 		schedStats = flag.Bool("schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks) at exit")
 		batch      = flag.Int("batch", 1, "source: tuples emitted per generator turn (larger batches feed the compiled-region path whole batches)")
 
-		watchdog    = flag.Bool("watchdog", false, "run a health watchdog per PE that freezes adaptation while the PE is unhealthy (multi-PE runs)")
+		watchdog    = flag.Bool("watchdog", false, "run a health watchdog per PE that freezes adaptation while the PE is unhealthy")
 		panicBudget = flag.Int("panicbudget", 0, "quarantine an operator after this many recovered panics (0 = supervision off)")
-		chaos       = flag.Bool("chaos", false, "inject deterministic faults (operator panics, connection kills) into multi-PE runs")
+		chaos       = flag.Bool("chaos", false, "inject deterministic faults (operator panics; connection kills when streams exist)")
 		chaosSeed   = flag.Int64("chaosseed", 1, "seed for -chaos fault injection")
 		checkpoint  = flag.Bool("checkpoint", false, "periodically snapshot keyed operator state (incremental, per PE) and recover quarantined stateful operators exactly-once")
 		ckptDir     = flag.String("ckptdir", "", "directory for checkpoint logs (pe<N>.ckpt); empty keeps checkpoints in memory")
@@ -144,11 +142,7 @@ func runFile(path string, maxThreads int, duration, period time.Duration, dumpTr
 		last = cur
 	}
 	if dumpTrace {
-		fmt.Println("\nadaptation trace:")
-		for _, e := range rt.Trace() {
-			fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
-				e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
-		}
+		printTrace("adaptation trace", rt.Trace())
 	}
 	if schedStats {
 		printSched("runtime", rt.SchedStats())
@@ -167,13 +161,27 @@ type resilienceConfig struct {
 	ckptInterval time.Duration
 }
 
-// newStore opens the checkpoint store for one engine: a durable file log
-// under -ckptdir, or an in-memory store when the flag is empty.
-func (c resilienceConfig) newStore(name string) (state.Store, error) {
-	if c.ckptDir == "" {
-		return state.NewMemStore(), nil
+// peOptions builds the pe.Options that runJob and runCluster share.
+func (c resilienceConfig) peOptions(maxThreads int, period time.Duration, tcfg pe.TransportConfig, inj *fault.Injector, ocfg obsConfig) pe.Options {
+	ecfg := core.DefaultConfig()
+	ecfg.MaxThreads = maxThreads
+	return pe.Options{
+		Exec: exec.Options{
+			MaxThreads:  maxThreads,
+			AdaptPeriod: period,
+			PanicBudget: c.panicBudget,
+		},
+		Elastic:        ecfg,
+		Transport:      tcfg,
+		Fault:          inj,
+		EnableWatchdog: c.watchdog,
+		SampleEvery:    ocfg.sample,
+		Checkpoint: pe.CheckpointOptions{
+			Enabled:  c.checkpoint,
+			Dir:      c.ckptDir,
+			Interval: c.ckptInterval,
+		},
 	}
-	return state.OpenFileLog(filepath.Join(c.ckptDir, name+".ckpt"))
 }
 
 // obsConfig bundles the observability flags.
@@ -233,6 +241,15 @@ func (c obsConfig) writeArtifacts(rec *obs.FlightRecorder, trace []core.TraceEve
 	return nil
 }
 
+// printTrace renders one adaptation trace under a title.
+func printTrace(title string, trace []core.TraceEvent) {
+	fmt.Printf("\n%s:\n", title)
+	for _, e := range trace {
+		fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
+			e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
+	}
+}
+
 // printSched renders one engine's scheduler counters.
 func printSched(name string, s metrics.SchedSnapshot) {
 	fmt.Printf("%s sched: local=%d pops=%d steals=%d stolen=%d overflow=%d injected=%d parks=%d wakes=%d fusedBatches=%d fusedTuples=%d\n",
@@ -272,126 +289,7 @@ func run(shape string, ops, width, depth, payload int, flops float64, skewed boo
 	if clusterSpec != "" {
 		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, ocfg)
 	}
-	if pes > 1 {
-		return runJob(b, maxThreads, duration, period, pes, tcfg, rcfg, streamStats, schedStats, ocfg)
-	}
-
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	eng, err := exec.New(b.Graph, exec.Options{
-		MaxThreads:  maxThreads,
-		AdaptPeriod: period,
-		SampleEvery: ocfg.sample,
-		Recorder:    rec,
-		PanicBudget: rcfg.panicBudget,
-	})
-	if err != nil {
-		return err
-	}
-	var ckpt *exec.Checkpointer
-	if rcfg.checkpoint {
-		store, err := rcfg.newStore("engine")
-		if err != nil {
-			return err
-		}
-		ckpt = exec.NewCheckpointer(eng, exec.CheckpointConfig{
-			Store:    store,
-			Interval: rcfg.ckptInterval,
-		})
-		if err := ckpt.Restore(); err != nil {
-			return err
-		}
-	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
-	coord, err := core.NewCoordinator(eng, ecfg)
-	if err != nil {
-		return err
-	}
-	coord.SetObserver(func(ev core.TraceEvent) {
-		detail := string(ev.Phase)
-		if ev.Note != "" {
-			detail += ": " + ev.Note
-		}
-		rec.Record(obs.EvAdapt, 0, int64(ev.Threads), int64(ev.Queues), detail)
-	})
-	obs.RegisterSettled(eng.Registry(), coord.Settled)
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(
-		engineProvider{reg: eng.Registry(), coord: coord},
-		[]*obs.Registry{eng.Registry()}, rec))
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := eng.Start(ctx); err != nil {
-		return err
-	}
-	defer eng.Stop()
-	if ckpt != nil {
-		ckpt.Start()
-		defer ckpt.Stop()
-	}
-
-	adaptDone := make(chan struct{})
-	go func() {
-		defer close(adaptDone)
-		_ = coord.Run(ctx)
-	}()
-
-	fmt.Printf("running %s (%d operators, payload %dB) live for %s\n",
-		b.Name, b.Graph.NumNodes(), payload, duration)
-	start := time.Now()
-	var last uint64
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	deadline := time.After(duration)
-loop:
-	for {
-		select {
-		case <-tick.C:
-			cur := b.Sink.Count()
-			fmt.Printf("t=%4.0fs  throughput=%8.0f tuples/s  threads=%2d  queues=%3d  settled=%v\n",
-				time.Since(start).Seconds(), float64(cur-last), eng.ThreadCount(), eng.Queues(), coord.Settled())
-			last = cur
-		case <-deadline:
-			break loop
-		}
-	}
-	cancel()
-	<-adaptDone
-
-	fmt.Printf("\nfinal: %d tuples, %d threads, %d queues, settled=%v\n",
-		b.Sink.Count(), eng.ThreadCount(), eng.Queues(), coord.Settled())
-	if schedStats {
-		printSched("engine", eng.SchedStats())
-	}
-	if dumpTrace {
-		fmt.Println("\nadaptation trace:")
-		for _, e := range coord.Trace() {
-			fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
-				e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
-		}
-	}
-	return ocfg.writeArtifacts(rec, coord.Trace())
-}
-
-// engineProvider adapts the single-PE engine+coordinator pair to the
-// monitoring API.
-type engineProvider struct {
-	reg   *obs.Registry
-	coord *core.Coordinator
-}
-
-func (p engineProvider) Statuses() []monitor.Status {
-	return []monitor.Status{monitor.BuildStatus("engine", p.reg, nil)}
-}
-
-func (p engineProvider) AdaptationTrace(i int) []core.TraceEvent {
-	if i != 0 || p.coord == nil {
-		return nil
-	}
-	return p.coord.Trace()
+	return runJob(b, maxThreads, duration, period, pes, tcfg, rcfg, dumpTrace, streamStats, schedStats, ocfg)
 }
 
 // runCluster executes the workload under the cluster job manager: the PE
@@ -404,8 +302,6 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 	if err != nil {
 		return fmt.Errorf("-cluster: %w", err)
 	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
 	var inj *fault.Injector
 	if rcfg.chaos {
 		// Kill stream connections periodically — including streams that only
@@ -419,23 +315,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 	}
 	mgr, err := cluster.New(b.Graph, cluster.Options{
 		Spec: spec,
-		PE: pe.Options{
-			Exec: exec.Options{
-				MaxThreads:  maxThreads,
-				AdaptPeriod: period,
-				PanicBudget: rcfg.panicBudget,
-			},
-			Elastic:        ecfg,
-			Transport:      tcfg,
-			Fault:          inj,
-			EnableWatchdog: rcfg.watchdog,
-			SampleEvery:    ocfg.sample,
-			Checkpoint: pe.CheckpointOptions{
-				Enabled:  rcfg.checkpoint,
-				Dir:      rcfg.ckptDir,
-				Interval: rcfg.ckptInterval,
-			},
-		},
+		PE:   rcfg.peOptions(maxThreads, period, tcfg, inj, ocfg),
 	})
 	if err != nil {
 		return err
@@ -488,16 +368,14 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 	return ocfg.writeArtifacts(mgr.FlightRecorder(), nil)
 }
 
-// runJob executes the workload as a multi-PE job, every PE adapting
-// independently.
+// runJob executes the workload as a job of pes processing elements, every
+// PE adapting independently; one PE is a single engine with no streams.
 func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, pes int,
-	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats, schedStats bool, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, rcfg resilienceConfig, dumpTrace, streamStats, schedStats bool, ocfg obsConfig) error {
 	assign, err := pe.AssignContiguous(b.Graph, pes)
 	if err != nil {
 		return err
 	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
 	var inj *fault.Injector
 	if rcfg.chaos {
 		inj = fault.New(rcfg.chaosSeed)
@@ -508,23 +386,7 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		inj.Arm(fault.ConnKill, 0, fault.Plan{EveryN: 5000, MaxFires: 3})
 		inj.Arm(fault.OpPanic, fault.OpSite(pes-1, 1), fault.Plan{EveryN: 500, MaxFires: 8})
 	}
-	jobOpts := pe.Options{
-		Exec: exec.Options{
-			MaxThreads:  maxThreads,
-			AdaptPeriod: period,
-			PanicBudget: rcfg.panicBudget,
-		},
-		Elastic:        ecfg,
-		Transport:      tcfg,
-		Fault:          inj,
-		EnableWatchdog: rcfg.watchdog,
-		SampleEvery:    ocfg.sample,
-		Checkpoint: pe.CheckpointOptions{
-			Enabled:  rcfg.checkpoint,
-			Dir:      rcfg.ckptDir,
-			Interval: rcfg.ckptInterval,
-		},
-	}
+	jobOpts := rcfg.peOptions(maxThreads, period, tcfg, inj, ocfg)
 	if rcfg.watchdog {
 		// A watchdog trip dumps the flight recorder to stderr as it happens.
 		jobOpts.FlightDump = os.Stderr
@@ -556,7 +418,11 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		}
 		fmt.Println()
 	}
-	fmt.Printf("final: %d tuples end to end\n", b.Sink.Count())
+	fmt.Printf("\nfinal: %d tuples end to end\n", b.Sink.Count())
+	for _, rt := range job.PEs {
+		fmt.Printf("PE%d final: %d threads, %d queues, settled=%v\n",
+			rt.Plan.PE, rt.Eng.ThreadCount(), rt.Eng.Queues(), rt.Settled())
+	}
 	if rcfg.checkpoint {
 		for i, cs := range job.CheckpointStats() {
 			fmt.Printf("PE%d checkpoints: committed=%d errors=%d skipped=%d restores=%d lastBytes=%d watermark=%d epoch=%d\n",
@@ -600,9 +466,10 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		fmt.Printf("chaos: %d faults fired (seed %d)\n", len(inj.Events()), rcfg.chaosSeed)
 		os.Stdout.Write(inj.LogBytes())
 	}
-	var trace []core.TraceEvent
-	if len(job.PEs) > 0 && job.PEs[0].Coord != nil {
-		trace = job.PEs[0].Coord.Trace()
+	if dumpTrace {
+		for _, rt := range job.PEs {
+			printTrace(fmt.Sprintf("PE%d adaptation trace", rt.Plan.PE), rt.Trace())
+		}
 	}
-	return ocfg.writeArtifacts(job.FlightRecorder(), trace)
+	return ocfg.writeArtifacts(job.FlightRecorder(), job.PEs[0].Trace())
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -49,6 +50,23 @@ func TestRunMultiPEShortBlockTimeout(t *testing.T) {
 		false, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSinglePEResilience runs one PE with the watchdog, fault injection
+// and a durable checkpoint log, which a single engine shares with every
+// multi-PE run.
+func TestRunSinglePEResilience(t *testing.T) {
+	dir := t.TempDir()
+	err := run("pipeline", 6, 4, 8, 64, 2000, false, 4, 2,
+		1200*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{},
+		resilienceConfig{watchdog: true, chaos: true, checkpoint: true, ckptDir: dir}, false,
+		false, obsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "pe0.ckpt")); err != nil {
+		t.Fatalf("no checkpoint log: %v", err)
 	}
 }
 

@@ -39,4 +39,8 @@
 //	s, _ := streamelastic.NewSimulation(top, streamelastic.Xeon176(),
 //		streamelastic.SimOptions{PayloadBytes: 1024})
 //	_, _ = s.RunUntilSettled(2000)
+//
+// A Runtime is a Job with one processing element: NewJob splits the same
+// graph across several TCP-connected PEs, each running the same engine and
+// elastic coordinator independently.
 package streamelastic

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
@@ -350,6 +351,11 @@ func TestClusterOptionValidation(t *testing.T) {
 	bad.PE.Checkpoint.Enabled = true
 	if _, err := New(g, bad); err == nil {
 		t.Error("checkpointing accepted")
+	}
+	bad = base
+	bad.PE.WarmStart = []core.ConfigSnapshot{{Placement: make([]bool, 5), Threads: 1}}
+	if _, err := New(g, bad); err == nil {
+		t.Error("non-empty WarmStart accepted")
 	}
 	bad = base
 	bad.Spec = WidthSpec{Min: 2, Max: 100}

@@ -23,9 +23,10 @@ type Options struct {
 	Spec WidthSpec
 	// PE configures every member PE (engine, elasticity, transport, fault
 	// injection). Checkpointing is rejected: migration's seeded resume
-	// handshake needs ungated acks. A frozen edge parks its producers
-	// whatever Transport.BlockTimeout is, so a short timeout drops only
-	// outside a migration's freeze.
+	// handshake needs ungated acks. WarmStart is rejected: a snapshot names
+	// one graph, and a member's graph changes with every migration. A
+	// frozen edge parks its producers whatever Transport.BlockTimeout is,
+	// so a short timeout drops only outside a migration's freeze.
 	PE pe.Options
 	// ReconcileInterval is the reconcile loop's cadence (default 100ms).
 	ReconcileInterval time.Duration
@@ -145,14 +146,13 @@ func New(g *graph.Graph, opts Options) (*Manager, error) {
 	if p.Checkpoint.Enabled {
 		return nil, fmt.Errorf("cluster: checkpointing is incompatible with migration (ack gating at the checkpoint floor breaks the seeded resume handshake)")
 	}
+	if len(p.WarmStart) > 0 {
+		return nil, fmt.Errorf("cluster: warm start is incompatible with migration (a member's graph changes with every split and merge)")
+	}
 	if p.DialTimeout == 0 {
 		p.DialTimeout = 5 * time.Second
 	}
-	rec := p.Recorder
-	if rec == nil {
-		rec = obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-		p.Recorder = rec
-	}
+	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
 	if p.Fault != nil {
 		p.Fault.SetObserver(func(ev fault.Event) {
 			rec.Record(obs.EvFault, -1, int64(ev.Site), int64(ev.N), ev.Point.String())
@@ -617,9 +617,5 @@ func (m *Manager) AdaptationTrace(index int) []core.TraceEvent {
 	if index < 1 || index > len(m.members) {
 		return nil
 	}
-	rt := m.members[index-1].rt
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return m.members[index-1].rt.Trace()
 }

@@ -47,10 +47,11 @@ type Options struct {
 	// StallAfter is how long without progress the watchdog probes tolerate
 	// before declaring a stall (default 1s).
 	StallAfter time.Duration
-	// Recorder is the job's flight recorder; nil means Launch creates one of
-	// obs.DefaultFlightRecorderSize. All PEs share it, each tagging its
-	// events with its PE id.
-	Recorder *obs.FlightRecorder
+	// WarmStart restores captured elastic configurations: entry i starts
+	// PE i's coordinator settled at that snapshot (see
+	// core.NewCoordinatorFrom). nil means a cold start; otherwise the length
+	// must equal the PE count.
+	WarmStart []core.ConfigSnapshot
 	// FlightDump, when set, receives an automatic flight-recorder dump each
 	// time a PE watchdog trips (requires EnableWatchdog).
 	FlightDump io.Writer
@@ -86,8 +87,9 @@ type PERuntime struct {
 	Coord *core.Coordinator
 	// Watchdog is the PE's health monitor (nil unless enabled).
 	Watchdog *monitor.Watchdog
-	// Reg is the PE's telemetry registry (const label pe="N"); every engine,
-	// transport, and watchdog series lives here.
+	// Reg is the PE's telemetry registry (const label pe="N" when the job
+	// has several PEs); every engine, transport, and watchdog series lives
+	// here.
 	Reg *obs.Registry
 	// Ckpt is the PE's checkpoint coordinator (nil unless enabled).
 	Ckpt *exec.Checkpointer
@@ -96,8 +98,8 @@ type PERuntime struct {
 	done   chan struct{}
 }
 
-// Job is a launched multi-PE deployment: each PE runs its own engine and
-// adapts independently; cross-PE streams run over TCP.
+// Job is a launched deployment of one or more PEs: each PE runs its own
+// engine and adapts independently; cross-PE streams run over TCP.
 type Job struct {
 	PEs []*PERuntime
 
@@ -118,7 +120,8 @@ type Job struct {
 
 // Launch partitions the job graph per assign, wires every cross-PE stream
 // over loopback TCP, and constructs one engine (plus coordinator) per PE.
-// Call Start to begin execution and Stop to shut down.
+// An all-zero assignment launches a single engine with no streams. Call
+// Start to begin execution and Stop to shut down.
 func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 5 * time.Second
@@ -132,13 +135,18 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
+	if n := len(opts.WarmStart); n != 0 && n != len(plans) {
+		return nil, fmt.Errorf("pe: %d warm-start snapshots for %d PEs", n, len(plans))
 	}
+	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
+	// A one-PE job is a plain engine: its series stay unlabelled.
 	regs := make([]*obs.Registry, len(plans))
 	for i := range regs {
-		regs[i] = obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(i)})
+		if len(plans) == 1 {
+			regs[i] = obs.NewRegistry()
+		} else {
+			regs[i] = obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(i)})
+		}
 	}
 	job := &Job{crosses: crosses, regs: regs, rec: rec, dump: opts.FlightDump}
 	if opts.Fault != nil {

@@ -115,7 +115,8 @@ func registerWatchdogMetrics(r *obs.Registry, wd *monitor.Watchdog) {
 
 // Registries returns every PE's telemetry registry, in PE order. Feed them
 // to monitor.ObservabilityHandler (or obs.WritePrometheusAll) for a merged
-// /metrics exposition; series carry a pe="N" label.
+// /metrics exposition; in a job of several PEs, series carry a pe="N"
+// label.
 func (j *Job) Registries() []*obs.Registry { return j.regs }
 
 // FlightRecorder returns the job's shared flight recorder: one bounded ring
@@ -167,9 +168,5 @@ func (j *Job) AdaptationTrace(index int) []core.TraceEvent {
 	if index < 0 || index >= len(j.PEs) {
 		return nil
 	}
-	rt := j.PEs[index]
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return j.PEs[index].Trace()
 }

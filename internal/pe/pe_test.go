@@ -54,6 +54,36 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
+// TestLaunchOptionValidation checks that Launch takes a warm-start
+// snapshot per PE or none, and labels registries only in multi-PE jobs.
+func TestLaunchOptionValidation(t *testing.T) {
+	g, _ := jobChain(t, 2, 10) // src, w0, w1, sink
+	snap := core.ConfigSnapshot{Placement: make([]bool, 3), Threads: 1}
+	for _, n := range []int{1, 3} {
+		if _, err := Launch(g, Assignment{0, 0, 1, 1}, Options{WarmStart: make([]core.ConfigSnapshot, n)}); err == nil {
+			t.Errorf("%d warm-start snapshots for 2 PEs accepted", n)
+		}
+	}
+	// Each PE's plan has three nodes: two operators plus its stream stub.
+	job, err := Launch(g, Assignment{0, 0, 1, 1}, Options{WarmStart: []core.ConfigSnapshot{snap, snap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Stop()
+	if got := job.Registries()[1].ConstLabels(); len(got) != 1 || got[0].Value != "1" {
+		t.Errorf("PE 1 of a two-PE job labelled %v, want pe=\"1\"", got)
+	}
+
+	one, err := Launch(g, make(Assignment, g.NumNodes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Stop()
+	if got := one.Registries()[0].ConstLabels(); len(got) != 0 {
+		t.Errorf("one-PE job labelled %v, want no labels", got)
+	}
+}
+
 func TestPartitionSplitsChain(t *testing.T) {
 	g, _ := jobChain(t, 4, 10) // 6 nodes: src, w0..w3, sink
 	assign := Assignment{0, 0, 0, 1, 1, 1}

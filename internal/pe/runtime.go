@@ -37,7 +37,12 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 		if cfg == (core.Config{}) {
 			cfg = core.DefaultConfig()
 		}
-		coord, err := core.NewCoordinator(eng, cfg)
+		var coord *core.Coordinator
+		if len(opts.WarmStart) > 0 {
+			coord, err = core.NewCoordinatorFrom(eng, cfg, opts.WarmStart[plan.PE])
+		} else {
+			coord, err = core.NewCoordinator(eng, cfg)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pe %d coordinator: %w", plan.PE, err)
 		}
@@ -50,8 +55,7 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 		})
 		rt.Coord = coord
 	}
-	coord := rt.Coord
-	obs.RegisterSettled(rt.Reg, func() bool { return coord == nil || coord.Settled() })
+	obs.RegisterSettled(rt.Reg, rt.Settled)
 	if opts.EnableWatchdog {
 		wcfg := opts.Watchdog
 		userTrip, userRecover := wcfg.OnTrip, wcfg.OnRecover
@@ -79,6 +83,19 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 		}
 	}
 	return rt, nil
+}
+
+// Settled reports whether the PE's adaptation has converged; a PE without
+// a coordinator is always settled.
+func (rt *PERuntime) Settled() bool { return rt.Coord == nil || rt.Coord.Settled() }
+
+// Trace returns the PE's adaptation trace (nil when elasticity is
+// disabled).
+func (rt *PERuntime) Trace() []core.TraceEvent {
+	if rt.Coord == nil {
+		return nil
+	}
+	return rt.Coord.Trace()
 }
 
 // Start launches the runtime: engine, coordinator loop, watchdog, and

@@ -118,7 +118,7 @@ func (j *Job) Status() []PEStatus {
 			Operators:  rt.Plan.Graph.NumNodes(),
 			Threads:    rt.Eng.ThreadCount(),
 			Queues:     rt.Eng.Queues(),
-			Settled:    rt.Coord == nil || rt.Coord.Settled(),
+			Settled:    rt.Settled(),
 			SinkTuples: rt.Eng.SinkCount(),
 		}
 		out = append(out, st)
@@ -145,20 +145,20 @@ func (j *Job) Trace(peIndex int) []TraceEvent {
 	if peIndex < 0 || peIndex >= len(j.job.PEs) {
 		return nil
 	}
-	rt := j.job.PEs[peIndex]
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return j.job.PEs[peIndex].Trace()
 }
 
 // MetricsHandler returns an http.Handler serving every PE's state (see
 // Runtime.MetricsHandler): /statusz, /tracez, /metrics merged over every
-// PE's registry (series carry a pe="N" label), /flightz, /tracez.json, and
-// /debug/pprof. The pe.Job itself is the status provider, rendering each
-// PE's Status from its telemetry registry.
-func (j *Job) MetricsHandler() http.Handler {
-	return monitor.ObservabilityHandler(j.job, j.job.Registries(), j.job.FlightRecorder())
+// PE's registry (series carry a pe="N" label when there are several PEs),
+// /flightz, /tracez.json, and /debug/pprof.
+func (j *Job) MetricsHandler() http.Handler { return observability(j.job) }
+
+// observability serves a launched job's observability surface. The pe.Job
+// itself is the status provider, rendering each PE's Status from its
+// telemetry registry.
+func observability(j *pe.Job) http.Handler {
+	return monitor.ObservabilityHandler(j, j.Registries(), j.FlightRecorder())
 }
 
 // Registries returns every PE's telemetry registry, in PE order.

@@ -2,17 +2,15 @@ package streamelastic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/metrics"
-	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
+	"streamelastic/internal/pe"
 )
 
 // Elasticity controller types, re-exported.
@@ -70,17 +68,12 @@ type LatencySnapshot = exec.LatencySnapshot
 type ConfigSnapshot = core.ConfigSnapshot
 
 // Runtime executes a topology live on goroutines with multi-level
-// elasticity adapting it in the background.
+// elasticity adapting it in the background. It is a job with one processing
+// element: the same engine, coordinator and flight recorder a Job runs per
+// PE, with no streams and unlabelled metrics.
 type Runtime struct {
-	eng   *exec.Engine
-	coord *core.Coordinator
-	reg   *obs.Registry
-	rec   *obs.FlightRecorder
-
-	mu      sync.Mutex
-	cancel  context.CancelFunc
-	done    chan struct{}
-	started bool
+	job *pe.Job
+	pe  *pe.PERuntime
 }
 
 // NewRuntime validates the topology and prepares a live runtime.
@@ -89,179 +82,92 @@ func NewRuntime(t *Topology, opts RuntimeOptions) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	eng, err := exec.New(g, exec.Options{
-		MaxThreads:    opts.MaxThreads,
-		QueueCapacity: opts.QueueCapacity,
-		AdaptPeriod:   opts.AdaptPeriod,
-		TrackLatency:  opts.TrackLatency,
-		SampleEvery:   opts.SampleEvery,
-		Recorder:      rec,
+	var warm []core.ConfigSnapshot
+	if opts.WarmStart != nil {
+		warm = []core.ConfigSnapshot{*opts.WarmStart}
+	}
+	job, err := pe.Launch(g, make(pe.Assignment, g.NumNodes()), pe.Options{
+		Exec: exec.Options{
+			MaxThreads:    opts.MaxThreads,
+			QueueCapacity: opts.QueueCapacity,
+			AdaptPeriod:   opts.AdaptPeriod,
+			TrackLatency:  opts.TrackLatency,
+		},
+		Elastic:           opts.Elastic,
+		DisableElasticity: opts.DisableElasticity,
+		SampleEvery:       opts.SampleEvery,
+		WarmStart:         warm,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("streamelastic: %w", err)
 	}
-	r := &Runtime{eng: eng, reg: eng.Registry(), rec: rec}
-	obs.RegisterSettled(r.reg, r.Settled)
-	if !opts.DisableElasticity {
-		cfg := opts.Elastic
-		if cfg == (ElasticConfig{}) {
-			cfg = DefaultElasticConfig()
-		}
-		var coord *core.Coordinator
-		if opts.WarmStart != nil {
-			coord, err = core.NewCoordinatorFrom(eng, cfg, *opts.WarmStart)
-		} else {
-			coord, err = core.NewCoordinator(eng, cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("streamelastic: %w", err)
-		}
-		coord.SetObserver(func(ev core.TraceEvent) {
-			detail := string(ev.Phase)
-			if ev.Note != "" {
-				detail += ": " + ev.Note
-			}
-			rec.Record(obs.EvAdapt, 0, int64(ev.Threads), int64(ev.Queues), detail)
-		})
-		r.coord = coord
-	}
-	return r, nil
+	return &Runtime{job: job, pe: job.PEs[0]}, nil
 }
 
 // ConfigSnapshot captures the current elastic configuration for a later
 // warm start. Returns nil when elasticity is disabled.
 func (r *Runtime) ConfigSnapshot() *ConfigSnapshot {
-	if r.coord == nil {
+	if r.pe.Coord == nil {
 		return nil
 	}
-	s := r.coord.ConfigSnapshot()
+	s := r.pe.Coord.ConfigSnapshot()
 	return &s
 }
 
 // DrainAndStop gracefully shuts the runtime down: sources stop emitting,
 // in-flight tuples complete (bounded by timeout), then everything stops.
 // It reports whether the pipeline fully drained.
-func (r *Runtime) DrainAndStop(timeout time.Duration) bool {
-	r.mu.Lock()
-	cancel, done := r.cancel, r.done
-	r.cancel, r.done = nil, nil
-	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	return r.eng.DrainAndStop(timeout)
-}
+func (r *Runtime) DrainAndStop(timeout time.Duration) bool { return r.job.DrainAndStop(timeout) }
 
 // Start launches the sources, the scheduler pool, the profiler, and (unless
 // elasticity is disabled) the adaptation loop. Call Stop to shut down.
-func (r *Runtime) Start(ctx context.Context) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.started {
-		return errors.New("streamelastic: runtime already started")
-	}
-	r.started = true
-	if err := r.eng.Start(ctx); err != nil {
-		return err
-	}
-	if r.coord != nil {
-		actx, cancel := context.WithCancel(ctx)
-		done := make(chan struct{})
-		r.cancel = cancel
-		r.done = done
-		go func() {
-			defer close(done)
-			// Run returns when the context is cancelled; engine errors
-			// surface through the trace.
-			_ = r.coord.Run(actx)
-		}()
-	}
-	return nil
-}
+func (r *Runtime) Start(ctx context.Context) error { return r.job.Start(ctx) }
 
 // Stop terminates the adaptation loop and all engine goroutines, waiting
 // for them to exit. Safe to call more than once.
-func (r *Runtime) Stop() {
-	r.mu.Lock()
-	cancel, done := r.cancel, r.done
-	r.cancel, r.done = nil, nil
-	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	r.eng.Stop()
-}
+func (r *Runtime) Stop() { r.job.Stop() }
 
 // SinkCount returns the total number of tuples delivered to sink operators.
-func (r *Runtime) SinkCount() uint64 { return r.eng.SinkCount() }
+func (r *Runtime) SinkCount() uint64 { return r.pe.Eng.SinkCount() }
 
 // Latency returns the end-to-end latency summary; all zeros unless
 // RuntimeOptions.TrackLatency was set.
-func (r *Runtime) Latency() LatencySnapshot { return r.eng.Latency() }
+func (r *Runtime) Latency() LatencySnapshot { return r.pe.Eng.Latency() }
 
 // OperatorPanics returns how many operator invocations panicked (each is
 // contained to the tuple being processed).
-func (r *Runtime) OperatorPanics() uint64 { return r.eng.OperatorPanics() }
+func (r *Runtime) OperatorPanics() uint64 { return r.pe.Eng.OperatorPanics() }
 
 // Threads returns the current scheduler-thread count.
-func (r *Runtime) Threads() int { return r.eng.ThreadCount() }
+func (r *Runtime) Threads() int { return r.pe.Eng.ThreadCount() }
 
 // Queues returns the current number of scheduler queues.
-func (r *Runtime) Queues() int { return r.eng.Queues() }
+func (r *Runtime) Queues() int { return r.pe.Eng.Queues() }
 
 // Placement returns the current threading-model choice per operator (true
 // means dynamic).
-func (r *Runtime) Placement() []bool { return r.eng.Placement() }
+func (r *Runtime) Placement() []bool { return r.pe.Eng.Placement() }
 
 // SchedStats returns the work-stealing scheduler's cumulative counters.
-func (r *Runtime) SchedStats() metrics.SchedSnapshot { return r.eng.SchedStats() }
+func (r *Runtime) SchedStats() metrics.SchedSnapshot { return r.pe.Eng.SchedStats() }
 
 // Settled reports whether adaptation has converged.
-func (r *Runtime) Settled() bool {
-	if r.coord == nil {
-		return true
-	}
-	return r.coord.Settled()
-}
+func (r *Runtime) Settled() bool { return r.pe.Settled() }
 
 // Trace returns the adaptation trace recorded so far.
-func (r *Runtime) Trace() []TraceEvent {
-	if r.coord == nil {
-		return nil
-	}
-	return r.coord.Trace()
-}
-
-// runtimeProvider adapts a Runtime to the monitoring API.
-type runtimeProvider struct{ r *Runtime }
-
-func (p runtimeProvider) Statuses() []monitor.Status {
-	return []monitor.Status{monitor.BuildStatus("runtime", p.r.reg, nil)}
-}
-
-func (p runtimeProvider) AdaptationTrace(index int) []core.TraceEvent {
-	if index != 0 {
-		return nil
-	}
-	return p.r.Trace()
-}
+func (r *Runtime) Trace() []TraceEvent { return r.pe.Trace() }
 
 // MetricsHandler returns an http.Handler serving the runtime's full
 // observability surface: GET /statusz for configuration and counters,
 // GET /tracez for the adaptation trace, GET /metrics for Prometheus text,
 // GET /flightz for a flight-recorder dump, GET /tracez.json for a Chrome
 // trace_event export, and /debug/pprof. Mount it on any mux or server.
-func (r *Runtime) MetricsHandler() http.Handler {
-	return monitor.ObservabilityHandler(runtimeProvider{r: r}, []*obs.Registry{r.reg}, r.rec)
-}
+func (r *Runtime) MetricsHandler() http.Handler { return observability(r.job) }
 
 // Registry returns the runtime's telemetry registry, for registering
 // application metrics or scraping programmatically.
-func (r *Runtime) Registry() *obs.Registry { return r.reg }
+func (r *Runtime) Registry() *obs.Registry { return r.pe.Reg }
 
 // FlightRecorder returns the runtime's flight recorder; Record application
 // events into it to interleave them with the engine's.
-func (r *Runtime) FlightRecorder() *obs.FlightRecorder { return r.rec }
+func (r *Runtime) FlightRecorder() *obs.FlightRecorder { return r.job.FlightRecorder() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -325,4 +326,96 @@ func ExampleNewSimulation() {
 	// Output:
 	// adapted faster than manual: true
 	// queues placed: true
+}
+
+func TestRuntimeWarmStart(t *testing.T) {
+	top, _ := buildPipeline(t, 6, 2000, 64, 0)
+	opts := RuntimeOptions{AdaptPeriod: 20 * time.Millisecond, MaxThreads: 4}
+	cold, err := NewRuntime(top, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	snap := cold.ConfigSnapshot()
+	cold.Stop()
+	if snap == nil {
+		t.Fatal("elastic runtime returned no snapshot")
+	}
+
+	opts.WarmStart = snap
+	warm, err := NewRuntime(top, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(warm.Placement()) != fmt.Sprint(snap.Placement) || warm.Threads() != snap.Threads {
+		t.Fatalf("warm runtime begins at placement %v threads %d, snapshot has %v threads %d",
+			warm.Placement(), warm.Threads(), snap.Placement, snap.Threads)
+	}
+	if err := warm.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(warm.Trace()) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	trace := warm.Trace()
+	if len(trace) == 0 {
+		t.Fatal("warm runtime recorded no adaptation")
+	}
+	if trace[0].Phase != "settled" {
+		t.Fatalf("warm runtime's first trace event is %q, want settled", trace[0].Phase)
+	}
+
+	opts.WarmStart = &ConfigSnapshot{Placement: []bool{true}, Threads: 1}
+	if _, err := NewRuntime(top, opts); err == nil {
+		t.Fatal("snapshot of another topology accepted")
+	}
+}
+
+// TestRuntimeDrainAndStop drains a bounded source's tuples still in flight
+// behind two costly operators when the source has finished.
+func TestRuntimeDrainAndStop(t *testing.T) {
+	const n = 2000
+	top := NewTopology()
+	gen := NewGenerator("src", 16)
+	gen.MaxTuples = n
+	var emitted atomic.Uint64
+	prev := top.AddSource(gen, 0)
+	id := top.AddOperator(NewMap("count", func(tp *Tuple) *Tuple { emitted.Add(1); return tp }), 0)
+	if err := top.Connect(prev, 0, id, 0); err != nil {
+		t.Fatal(err)
+	}
+	prev = id
+	for i := 0; i < 2; i++ {
+		id := top.AddOperator(NewWorkOp("w", 20000), 20000)
+		if err := top.Connect(prev, 0, id, 0); err != nil {
+			t.Fatal(err)
+		}
+		prev = id
+	}
+	if err := top.Connect(prev, 0, top.AddOperator(NewCountingSink("snk"), 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(top, RuntimeOptions{AdaptPeriod: 20 * time.Millisecond, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	deadline := time.Now().Add(10 * time.Second)
+	for emitted.Load() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !rt.DrainAndStop(10 * time.Second) {
+		t.Fatal("bounded pipeline did not drain")
+	}
+	if got := rt.SinkCount(); got != n {
+		t.Fatalf("SinkCount = %d after drain, want %d", got, n)
+	}
 }
