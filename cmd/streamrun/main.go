@@ -165,7 +165,7 @@ type resilienceConfig struct {
 func (c resilienceConfig) peOptions(maxThreads int, period time.Duration, tcfg pe.TransportConfig, inj *fault.Injector, ocfg obsConfig) pe.Options {
 	ecfg := core.DefaultConfig()
 	ecfg.MaxThreads = maxThreads
-	return pe.Options{
+	opts := pe.Options{
 		Exec: exec.Options{
 			MaxThreads:  maxThreads,
 			AdaptPeriod: period,
@@ -182,6 +182,11 @@ func (c resilienceConfig) peOptions(maxThreads int, period time.Duration, tcfg p
 			Interval: c.ckptInterval,
 		},
 	}
+	if c.watchdog {
+		// A watchdog trip dumps the flight recorder to stderr as it happens.
+		opts.FlightDump = os.Stderr
+	}
+	return opts
 }
 
 // obsConfig bundles the observability flags.
@@ -320,7 +325,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 	if err != nil {
 		return err
 	}
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandlerDynamic(mgr, mgr.Registries, mgr.FlightRecorder()))
+	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(mgr))
 	if err != nil {
 		return err
 	}
@@ -386,16 +391,11 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		inj.Arm(fault.ConnKill, 0, fault.Plan{EveryN: 5000, MaxFires: 3})
 		inj.Arm(fault.OpPanic, fault.OpSite(pes-1, 1), fault.Plan{EveryN: 500, MaxFires: 8})
 	}
-	jobOpts := rcfg.peOptions(maxThreads, period, tcfg, inj, ocfg)
-	if rcfg.watchdog {
-		// A watchdog trip dumps the flight recorder to stderr as it happens.
-		jobOpts.FlightDump = os.Stderr
-	}
-	job, err := pe.Launch(b.Graph, assign, jobOpts)
+	job, err := pe.Launch(b.Graph, assign, rcfg.peOptions(maxThreads, period, tcfg, inj, ocfg))
 	if err != nil {
 		return err
 	}
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(job, job.Registries(), job.FlightRecorder()))
+	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(job))
 	if err != nil {
 		return err
 	}

@@ -109,7 +109,7 @@ func TestChaosClusterMigration(t *testing.T) {
 	}
 	defer m.Stop()
 
-	srv := httptest.NewServer(monitor.ObservabilityHandlerDynamic(m, m.Registries, m.FlightRecorder()))
+	srv := httptest.NewServer(monitor.ObservabilityHandler(m))
 	defer srv.Close()
 
 	// Let the panics burn out before moving anything, so the dropped

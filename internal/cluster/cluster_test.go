@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
 	"streamelastic/internal/monitor"
+	"streamelastic/internal/obs"
 	"streamelastic/internal/pe"
 	"streamelastic/internal/spl"
 )
@@ -273,7 +276,7 @@ func TestClusterStatusz(t *testing.T) {
 	}
 	defer m.Stop()
 
-	srv := httptest.NewServer(monitor.ObservabilityHandlerDynamic(m, m.Registries, m.FlightRecorder()))
+	srv := httptest.NewServer(monitor.ObservabilityHandler(m))
 	defer srv.Close()
 
 	sts := scrapeStatus(t, srv.URL)
@@ -361,5 +364,112 @@ func TestClusterOptionValidation(t *testing.T) {
 	bad.Spec = WidthSpec{Min: 2, Max: 100}
 	if _, err := New(g, bad); err == nil {
 		t.Error("width beyond node count accepted")
+	}
+}
+
+// syncBuf is an io.Writer safe to read while a watchdog goroutine dumps
+// into it.
+type syncBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuf) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestClusterWatchdogTripDumps stalls the first member's export writer long
+// enough to trip its watchdog and checks that the trip writes a
+// flight-recorder dump to Options.PE.FlightDump, as a pe.Launch job's PEs
+// do.
+func TestClusterWatchdogTripDumps(t *testing.T) {
+	g, _ := chainJob(t, 2_000_000, 100000) // effectively unbounded for this test's lifetime
+	inj := fault.New(3)
+	inj.Arm(fault.WriterStall, 0, fault.Plan{Nth: 200, Delay: 600 * time.Millisecond})
+	dump := &syncBuf{}
+	opts := testPEOpts(inj)
+	opts.EnableWatchdog = true
+	opts.Watchdog = monitor.WatchdogConfig{Interval: 10 * time.Millisecond, UnhealthyAfter: 2, HealthyAfter: 4}
+	opts.StallAfter = 30 * time.Millisecond
+	opts.FlightDump = dump
+	m, err := New(g, Options{Spec: WidthSpec{Min: 2, Max: 2, Step: 1, Desired: 2}, PE: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(context.Background()); err != nil {
+		m.Stop()
+		t.Fatal(err)
+	}
+	defer m.Stop()
+
+	// The trip event is the dump's last line, written after the header: wait
+	// for it, not for the header, or the poll can land between the two.
+	waitFor(t, "a watchdog trip dump", 30*time.Second, func() bool {
+		return strings.Contains(dump.String(), "watchdog-trip")
+	})
+	if text := dump.String(); !strings.Contains(text, "=== flight-recorder dump (watchdog trip pe0: ") {
+		t.Fatalf("dump does not name the tripped member:\n%s", text)
+	}
+}
+
+// TestClusterMemberIdentity grows a fleet with elasticity on and checks that
+// every flight-recorder event recorded after the grow carries the stable id
+// of a live member: the replacement PEs' coordinators and engines tag their
+// events with their member ids (the ids on their registries and /statusz
+// rows), never with their fleet positions.
+func TestClusterMemberIdentity(t *testing.T) {
+	g, _ := chainJob(t, 2_000_000, 50000) // effectively unbounded for this test's lifetime
+	opts := testPEOpts(nil)
+	opts.DisableElasticity = false
+	opts.Exec.AdaptPeriod = 10 * time.Millisecond
+	m, err := New(g, Options{Spec: WidthSpec{Min: 2, Max: 3, Step: 1, Desired: 2}, PE: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(context.Background()); err != nil {
+		m.Stop()
+		t.Fatal(err)
+	}
+	defer m.Stop()
+
+	m.SetDesired(3)
+	waitFor(t, "grow to 3", 30*time.Second, func() bool {
+		st := m.Status()
+		return st.Allocated == 3 && st.Pending == ""
+	})
+	rec := m.FlightRecorder()
+	after := rec.Len()
+	live := map[int32]bool{}
+	var fresh []int32
+	for _, id := range m.Members() {
+		live[int32(id)] = true
+		if id >= 2 {
+			fresh = append(fresh, int32(id))
+		}
+	}
+	if len(fresh) != 2 {
+		t.Fatalf("members after one split = %v, want two new ids", m.Members())
+	}
+	waitFor(t, "adaptation events from every new member", 20*time.Second, func() bool {
+		seen := map[int32]bool{}
+		for _, ev := range rec.Events() {
+			if ev.Seq > after && ev.Kind == obs.EvAdapt {
+				seen[ev.PE] = true
+			}
+		}
+		return seen[fresh[0]] && seen[fresh[1]]
+	})
+	for _, ev := range rec.Events() {
+		if ev.Seq > after && ev.PE >= 0 && !live[ev.PE] {
+			t.Errorf("event %s (seq %d) tagged pe=%d, not a live member id %v", ev.Kind, ev.Seq, ev.PE, m.Members())
+		}
 	}
 }

@@ -3,14 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"streamelastic/internal/core"
-	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
 	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
@@ -37,16 +35,22 @@ type Options struct {
 	DrainTimeout time.Duration
 }
 
-// member is one PE of the fleet. id is stable across the fleet's lifetime
-// (never reused) and is the PE label on the member's registry, the peer
-// label on stream metrics, and the name on /statusz; lo/hi is the member's
-// half-open range of the job graph's topological order.
+// member is one PE of the fleet. Its id is stable across the fleet's
+// lifetime (never reused) and is the PE label on the member's registry, the
+// peer label on stream metrics, the tag on its recorder events, and the name
+// on /statusz; lo/hi is the member's half-open range of the job graph's
+// topological order.
 type member struct {
-	id     int
+	pe.Peer
 	lo, hi int
 	plan   *pe.Plan
 	rt     *pe.PERuntime
-	reg    *obs.Registry
+}
+
+// newMember returns a member with a registry labelled pe="<id>".
+func newMember(id, lo, hi int, plan *pe.Plan) *member {
+	reg := obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(id)})
+	return &member{Peer: pe.Peer{ID: id, Reg: reg}, lo: lo, hi: hi, plan: plan}
 }
 
 // edgeKey names a cross-PE stream by the job-graph edge it carries — the
@@ -59,15 +63,19 @@ type edgeKey struct {
 	toPort   int
 }
 
+// edgeKeyOf names a cross edge of a partition by its job-graph edge.
+func edgeKeyOf(ce pe.CrossEdge) edgeKey {
+	return edgeKey{from: ce.From, fromPort: ce.FromPort, to: ce.To, toPort: ce.ToPort}
+}
+
 // streamRT is one live cross-PE stream. id is stable for the edge's
-// lifetime (fault site, metrics stream label, recorder tag); addr is the
-// import end's listen address; fromMember/toMember are stable member ids.
+// lifetime (fault site, metrics stream label, recorder tag);
+// fromMember/toMember are stable member ids.
 type streamRT struct {
 	id         int
 	key        edgeKey
 	exp        *pe.Export
 	imp        *pe.Import
-	addr       string
 	fromMember int
 	toMember   int
 }
@@ -92,12 +100,11 @@ type Status struct {
 // across a fleet of PEs and grows or shrinks that fleet under its width
 // spec, migrating regions between PEs without stopping the job.
 type Manager struct {
-	g      *graph.Graph
-	topo   []graph.NodeID
-	spec   WidthSpec
-	peOpts pe.Options
-	rec    *obs.FlightRecorder
-	creg   *obs.Registry
+	g     *graph.Graph
+	topo  []graph.NodeID
+	spec  WidthSpec
+	fleet *pe.Fleet
+	creg  *obs.Registry
 
 	reconcileInterval time.Duration
 	drainTimeout      time.Duration
@@ -149,21 +156,11 @@ func New(g *graph.Graph, opts Options) (*Manager, error) {
 	if len(p.WarmStart) > 0 {
 		return nil, fmt.Errorf("cluster: warm start is incompatible with migration (a member's graph changes with every split and merge)")
 	}
-	if p.DialTimeout == 0 {
-		p.DialTimeout = 5 * time.Second
-	}
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	if p.Fault != nil {
-		p.Fault.SetObserver(func(ev fault.Event) {
-			rec.Record(obs.EvFault, -1, int64(ev.Site), int64(ev.N), ev.Point.String())
-		})
-	}
 	m := &Manager{
 		g:                 g,
 		topo:              g.Topo(),
 		spec:              spec,
-		peOpts:            p,
-		rec:               rec,
+		fleet:             pe.NewFleet(p),
 		reconcileInterval: opts.ReconcileInterval,
 		drainTimeout:      opts.DrainTimeout,
 		streams:           make(map[edgeKey]*streamRT),
@@ -208,100 +205,40 @@ func (m *Manager) assignFor(ranges [][2]int) pe.Assignment {
 	return assign
 }
 
-// buildFleet wires generation zero: partition, fresh streams, runtimes.
+// buildFleet builds generation zero the way pe.Launch builds a job —
+// partition, wire every stream fresh, one runtime per plan — except that
+// every member's registry is labelled: member k has id k, and stream ids
+// are the partition's.
 func (m *Manager) buildFleet(ranges [][2]int) error {
 	plans, crosses, err := pe.Partition(m.g, m.assignFor(ranges))
 	if err != nil {
 		return err
 	}
-	members := make([]*member, len(ranges))
+	regs := make([]*obs.Registry, len(ranges))
 	for k, r := range ranges {
-		id := m.nextMemberID
-		m.nextMemberID++
-		members[k] = &member{
-			id:   id,
-			lo:   r[0],
-			hi:   r[1],
-			plan: plans[k],
-			reg:  obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(id)}),
-		}
+		m.members = append(m.members, newMember(k, r[0], r[1], plans[k]))
+		regs[k] = m.members[k].Reg
 	}
-	abort := func() {
-		for _, st := range m.streams {
-			if st.exp != nil {
-				st.exp.Close()
-			}
-			if st.imp != nil {
-				st.imp.Close()
-			}
-		}
+	rts, err := m.fleet.Build(plans, crosses, regs)
+	if err != nil {
+		return err
+	}
+	for k, mem := range m.members {
+		mem.rt = rts[k]
 	}
 	for _, ce := range crosses {
-		key := edgeKey{from: ce.From, fromPort: ce.FromPort, to: ce.To, toPort: ce.ToPort}
-		st := &streamRT{
-			id:         m.nextStreamID,
+		key := edgeKeyOf(ce)
+		m.streams[key] = &streamRT{
+			id:         ce.Stream,
 			key:        key,
-			fromMember: members[ce.FromPE].id,
-			toMember:   members[ce.ToPE].id,
+			exp:        plans[ce.FromPE].ExportEndpoint(ce.Stream),
+			imp:        plans[ce.ToPE].ImportEndpoint(ce.Stream),
+			fromMember: ce.FromPE,
+			toMember:   ce.ToPE,
 		}
-		m.nextStreamID++
-		exp := plans[ce.FromPE].ExportEndpoint(ce.Stream)
-		imp := plans[ce.ToPE].ImportEndpoint(ce.Stream)
-		if err := m.wireFresh(st, exp, imp, members[ce.FromPE], members[ce.ToPE]); err != nil {
-			abort()
-			return fmt.Errorf("cluster: wire stream %d: %w", st.id, err)
-		}
-		m.streams[key] = st
 	}
-	for _, mem := range members {
-		rt, err := pe.NewPERuntime(mem.plan, mem.reg, m.rec, m.peOpts, nil)
-		if err != nil {
-			abort()
-			return err
-		}
-		mem.rt = rt
-	}
-	m.members = members
-	m.allocated.Store(int64(len(members)))
-	return nil
-}
-
-// wireFresh connects a brand-new stream (wire sequences from zero): the
-// import listens on loopback, the export dials, and both register their
-// transport series on their owners' registries.
-func (m *Manager) wireFresh(st *streamRT, exp *pe.Export, imp *pe.Import, from, to *member) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	addr := ln.Addr().String()
-	type accepted struct {
-		conn net.Conn
-		err  error
-	}
-	acceptCh := make(chan accepted, 1)
-	go func() {
-		c, e := ln.Accept()
-		acceptCh <- accepted{conn: c, err: e}
-	}()
-	conn, err := net.DialTimeout("tcp", addr, m.peOpts.DialTimeout)
-	if err != nil {
-		_ = ln.Close()
-		return err
-	}
-	acc := <-acceptCh
-	if acc.err != nil {
-		_ = conn.Close()
-		_ = ln.Close()
-		return acc.err
-	}
-	exp.Configure(m.peOpts.Transport, m.peOpts.Fault, st.id, m.rec, from.id)
-	exp.Connect(conn, addr)
-	imp.Configure(m.rec, to.id, st.id)
-	imp.Connect(acc.conn, ln)
-	exp.RegisterMetrics(from.reg, st.id, to.id)
-	imp.RegisterMetrics(to.reg, st.id, from.id)
-	st.exp, st.imp, st.addr = exp, imp, addr
+	m.nextMemberID, m.nextStreamID = len(ranges), len(crosses)
+	m.allocated.Store(int64(len(ranges)))
 	return nil
 }
 
@@ -405,8 +342,19 @@ func (m *Manager) haltLoop() {
 	}
 }
 
-// Stop shuts the fleet down: reconcile loop, control loops, streams (which
-// unblocks import readers), then engines. Safe to call more than once.
+// runtimes snapshots the current members' runtimes in fleet order.
+func (m *Manager) runtimes() []*pe.PERuntime {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*pe.PERuntime, len(m.members))
+	for i, mem := range m.members {
+		out[i] = mem.rt
+	}
+	return out
+}
+
+// Stop shuts the fleet down: the reconcile loop, then the members as
+// pe.StopAll orders it. Safe to call more than once.
 func (m *Manager) Stop() {
 	m.mu.Lock()
 	if m.stopped {
@@ -416,23 +364,7 @@ func (m *Manager) Stop() {
 	m.stopped = true
 	m.mu.Unlock()
 	m.haltLoop()
-	m.mu.Lock()
-	mems := append([]*member(nil), m.members...)
-	streams := make([]*streamRT, 0, len(m.streams))
-	for _, st := range m.streams {
-		streams = append(streams, st)
-	}
-	m.mu.Unlock()
-	for _, mem := range mems {
-		mem.rt.StopControl()
-	}
-	for _, st := range streams {
-		st.exp.Close()
-		st.imp.Close()
-	}
-	for _, mem := range mems {
-		mem.rt.StopEngine()
-	}
+	pe.StopAll(m.runtimes())
 }
 
 // DrainAndStop gracefully shuts the fleet down: the reconcile loop halts
@@ -442,39 +374,7 @@ func (m *Manager) Stop() {
 // whole fleet drained.
 func (m *Manager) DrainAndStop(timeout time.Duration) bool {
 	m.haltLoop()
-	m.mu.Lock()
-	mems := append([]*member(nil), m.members...)
-	m.mu.Unlock()
-	for _, mem := range mems {
-		mem.rt.Eng.Drain()
-	}
-	deadline := time.Now().Add(timeout)
-	drained := false
-	for time.Now().Before(deadline) {
-		all := true
-		for _, mem := range mems {
-			if !mem.rt.Eng.WaitIdle(10 * time.Millisecond) {
-				all = false
-				break
-			}
-		}
-		if all {
-			// Idle twice with a settle gap: tuples may still be in flight
-			// on a stream between members.
-			time.Sleep(20 * time.Millisecond)
-			again := true
-			for _, mem := range mems {
-				if !mem.rt.Eng.WaitIdle(10 * time.Millisecond) {
-					again = false
-					break
-				}
-			}
-			if again {
-				drained = true
-				break
-			}
-		}
-	}
+	drained := pe.DrainAll(m.runtimes(), timeout)
 	m.Stop()
 	return drained
 }
@@ -518,7 +418,7 @@ func (m *Manager) Members() []int {
 	defer m.mu.Unlock()
 	out := make([]int, len(m.members))
 	for i, mem := range m.members {
-		out[i] = mem.id
+		out[i] = mem.ID
 	}
 	return out
 }
@@ -563,13 +463,13 @@ func (m *Manager) Registries() []*obs.Registry {
 	out := make([]*obs.Registry, 0, len(m.members)+1)
 	out = append(out, m.creg)
 	for _, mem := range m.members {
-		out = append(out, mem.reg)
+		out = append(out, mem.Reg)
 	}
 	return out
 }
 
 // FlightRecorder returns the fleet's shared flight recorder.
-func (m *Manager) FlightRecorder() *obs.FlightRecorder { return m.rec }
+func (m *Manager) FlightRecorder() *obs.FlightRecorder { return m.fleet.FlightRecorder() }
 
 var _ monitor.Provider = (*Manager)(nil)
 
@@ -595,16 +495,8 @@ func (m *Manager) Statuses() []monitor.Status {
 			Replayed:  cs.ReplayedTuples,
 		},
 	}}
-	m.mu.Lock()
-	mems := append([]*member(nil), m.members...)
-	m.mu.Unlock()
-	for _, mem := range mems {
-		var h *monitor.WatchdogStatus
-		if mem.rt.Watchdog != nil {
-			st := mem.rt.Watchdog.Status()
-			h = &st
-		}
-		out = append(out, monitor.BuildStatus(fmt.Sprintf("pe%d", mem.id), mem.reg, h))
+	for _, rt := range m.runtimes() {
+		out = append(out, rt.Status())
 	}
 	return out
 }

@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"streamelastic/internal/exec"
 	"streamelastic/internal/graph"
-	"streamelastic/internal/obs"
 	"streamelastic/internal/pe"
 	"streamelastic/internal/spl"
 )
@@ -70,7 +67,7 @@ func (m *Manager) loads() []memberLoad {
 	for i, mem := range mems {
 		out[i] = memberLoad{
 			idx:   i,
-			id:    mem.id,
+			id:    mem.ID,
 			slots: mem.hi - mem.lo,
 			load:  mem.rt.Eng.QueueStats().TotalDepth,
 		}
@@ -136,8 +133,10 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 	m.mu.Lock()
 	group := append([]*member(nil), m.members[first:first+count]...)
 	inGroup := make(map[int]bool, count)
-	for _, mem := range group {
-		inGroup[mem.id] = true
+	rts := make([]*pe.PERuntime, count)
+	for i, mem := range group {
+		inGroup[mem.ID] = true
+		rts[i] = mem.rt
 	}
 	var up, internal, down []*streamRT
 	for _, st := range m.streams {
@@ -170,15 +169,13 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 	for _, st := range up {
 		st.exp.Freeze()
 	}
-	for _, mem := range group {
-		mem.rt.StopControl()
-	}
+	pe.StopControl(rts)
 
 	// 2. Drain and quiesce.
-	for _, mem := range group {
-		mem.rt.Eng.Drain()
+	for _, rt := range rts {
+		rt.Eng.Drain()
 	}
-	if !m.quiesce(group, up, internal, down) {
+	if !m.quiesce(rts, up, internal, down) {
 		return abort(fmt.Errorf("cluster: migration quiesce timed out after %v", m.drainTimeout))
 	}
 
@@ -232,64 +229,52 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 
 	newMems := make([]*member, len(newRanges))
 	newPos := func(p int) bool { return p >= first && p < first+len(newRanges) }
+	m.mu.Lock()
 	for k, r := range newRanges {
-		m.mu.Lock()
-		id := m.nextMemberID
+		newMems[k] = newMember(m.nextMemberID, r[0], r[1], plans[first+k])
 		m.nextMemberID++
-		m.mu.Unlock()
-		newMems[k] = &member{
-			id:   id,
-			lo:   r[0],
-			hi:   r[1],
-			plan: plans[first+k],
-			reg:  obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(id)}),
-		}
 	}
+	m.mu.Unlock()
 
-	// 5. Wire the new members' streams. Old imports/exports to retire and
-	// streamRT field updates are collected and applied at commit.
+	// 5. Wire the new members' streams. Old imports to retire and streamRT
+	// field updates are collected and applied at commit.
 	type streamUpdate struct {
-		st         *streamRT // live stream to mutate, or (replace) fresh one
-		replace    bool      // wholesale replacement (rewired internal edge)
+		st         *streamRT // live stream to mutate
 		exp        *pe.Export
 		imp        *pe.Import
-		addr       string
 		fromMember int
 		toMember   int
 	}
 	var updates []streamUpdate
-	var added []*streamRT
+	var fresh []*streamRT
 	var oldImports []*pe.Import
-	newInternal := make(map[edgeKey]bool)
 	for _, ce := range crosses {
-		key := edgeKey{from: ce.From, fromPort: ce.FromPort, to: ce.To, toPort: ce.ToPort}
+		key := edgeKeyOf(ce)
 		switch {
 		case newPos(ce.FromPE) && newPos(ce.ToPE):
 			// Internal to the replacements: a fresh edge, sequences from 0.
-			newInternal[key] = true
+			// An edge that existed between two retiring members keeps its
+			// stable id; its endpoints are replaced wholesale.
 			fromMem, toMem := newMems[ce.FromPE-first], newMems[ce.ToPE-first]
-			if old, ok := streamByKey[key]; ok {
-				// The edge existed between two retiring members; keep its
-				// stable id, the endpoints are replaced wholesale.
-				st := &streamRT{id: old.id, key: key, fromMember: fromMem.id, toMember: toMem.id}
-				exp := plans[ce.FromPE].ExportEndpoint(ce.Stream)
-				imp := plans[ce.ToPE].ImportEndpoint(ce.Stream)
-				if err := m.wireFresh(st, exp, imp, fromMem, toMem); err != nil {
-					return abort(fmt.Errorf("cluster: rewire internal stream %d: %w", old.id, err))
-				}
-				updates = append(updates, streamUpdate{st: st, replace: true})
-			} else {
-				m.mu.Lock()
-				st := &streamRT{id: m.nextStreamID, key: key, fromMember: fromMem.id, toMember: toMem.id}
-				m.nextStreamID++
-				m.mu.Unlock()
-				exp := plans[ce.FromPE].ExportEndpoint(ce.Stream)
-				imp := plans[ce.ToPE].ImportEndpoint(ce.Stream)
-				if err := m.wireFresh(st, exp, imp, fromMem, toMem); err != nil {
-					return abort(fmt.Errorf("cluster: wire internal stream %d: %w", st.id, err))
-				}
-				added = append(added, st)
+			st := &streamRT{
+				key:        key,
+				exp:        plans[ce.FromPE].ExportEndpoint(ce.Stream),
+				imp:        plans[ce.ToPE].ImportEndpoint(ce.Stream),
+				fromMember: fromMem.ID,
+				toMember:   toMem.ID,
 			}
+			m.mu.Lock()
+			if old, ok := streamByKey[key]; ok {
+				st.id = old.id
+			} else {
+				st.id = m.nextStreamID
+				m.nextStreamID++
+			}
+			m.mu.Unlock()
+			if err := m.fleet.WireStream(st.id, st.exp, fromMem.Peer, st.imp, toMem.Peer); err != nil {
+				return abort(fmt.Errorf("cluster: wire internal stream %d: %w", st.id, err))
+			}
+			fresh = append(fresh, st)
 		case newPos(ce.ToPE):
 			// Up-boundary: the surviving (frozen) export reroutes to a new
 			// import seeded at the old import's delivered watermark; frames
@@ -300,22 +285,16 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 			}
 			toMem := newMems[ce.ToPE-first]
 			imp := plans[ce.ToPE].ImportEndpoint(ce.Stream)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return abort(fmt.Errorf("cluster: listen for stream %d: %w", st.id, err))
+			if err := m.fleet.ListenImport(st.id, imp, toMem.Peer, st.fromMember, st.imp.Delivered()); err != nil {
+				return abort(fmt.Errorf("cluster: %w", err))
 			}
-			imp.Configure(m.rec, toMem.id, st.id)
-			imp.SeedWatermark(st.imp.Delivered())
-			imp.Listen(ln)
-			imp.RegisterMetrics(toMem.reg, st.id, st.fromMember)
 			oldImports = append(oldImports, st.imp)
-			st.exp.Reroute(ln.Addr().String())
 			// The surviving export keeps its original metrics binding: the
 			// endpoint object is unchanged, and rebinding under the new peer
 			// label would leave a stale duplicate series.
+			st.exp.Reroute(imp.Addr())
 			updates = append(updates, streamUpdate{
-				st: st, imp: imp, addr: ln.Addr().String(),
-				fromMember: st.fromMember, toMember: toMem.id,
+				st: st, imp: imp, fromMember: st.fromMember, toMember: toMem.ID,
 			})
 		case newPos(ce.FromPE):
 			// Down-boundary: handled after the old members retire, so the
@@ -326,9 +305,9 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 
 	// 6. Build the replacement runtimes and restore the region's state.
 	for _, nm := range newMems {
-		rt, err := pe.NewPERuntime(nm.plan, nm.reg, m.rec, m.peOpts, nil)
+		rt, err := m.fleet.NewPERuntime(nm.plan, nm.ID, nm.Reg)
 		if err != nil {
-			return abort(fmt.Errorf("cluster: build pe%d: %w", nm.id, err))
+			return abort(fmt.Errorf("cluster: build pe%d: %w", nm.ID, err))
 		}
 		nm.rt = rt
 		var blobs []exec.StateBlob
@@ -338,7 +317,7 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 			}
 		}
 		if err := rt.Eng.ImportState(blobs); err != nil {
-			return abort(fmt.Errorf("cluster: restore pe%d: %w", nm.id, err))
+			return abort(fmt.Errorf("cluster: restore pe%d: %w", nm.ID, err))
 		}
 	}
 
@@ -361,8 +340,8 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 	for _, imp := range oldImports {
 		imp.Close()
 	}
-	for _, mem := range group {
-		mem.rt.StopEngine()
+	for _, rt := range rts {
+		rt.Eng.Stop()
 	}
 
 	// 8. Down-boundary: the replacement export continues the retired
@@ -373,31 +352,25 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 		if !newPos(ce.FromPE) || newPos(ce.ToPE) {
 			continue
 		}
-		key := edgeKey{from: ce.From, fromPort: ce.FromPort, to: ce.To, toPort: ce.ToPort}
+		key := edgeKeyOf(ce)
 		st, ok := streamByKey[key]
 		if !ok {
 			return abort(fmt.Errorf("cluster: down-boundary edge %v has no live stream", key))
 		}
 		fromMem := newMems[ce.FromPE-first]
 		exp := plans[ce.FromPE].ExportEndpoint(ce.Stream)
-		exp.Configure(m.peOpts.Transport, m.peOpts.Fault, st.id, m.rec, fromMem.id)
-		exp.SeedSequence(downSeed[st])
-		conn, err := net.DialTimeout("tcp", st.addr, m.peOpts.DialTimeout)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: redial stream %d: %w", st.id, err))
+		if err := m.fleet.DialExport(st.id, exp, fromMem.Peer, st.toMember, downSeed[st], st.imp.Addr()); err != nil {
+			return abort(fmt.Errorf("cluster: redial: %w", err))
 		}
-		exp.Connect(conn, st.addr)
-		exp.RegisterMetrics(fromMem.reg, st.id, st.toMember)
 		updates = append(updates, streamUpdate{
-			st: st, exp: exp, addr: st.addr,
-			fromMember: fromMem.id, toMember: st.toMember,
+			st: st, exp: exp, fromMember: fromMem.ID, toMember: st.toMember,
 		})
 	}
 
 	// 9. Start the replacements and release the frozen boundary.
 	for _, nm := range newMems {
 		if err := nm.rt.Start(m.ctx); err != nil {
-			return abort(fmt.Errorf("cluster: start pe%d: %w", nm.id, err))
+			return abort(fmt.Errorf("cluster: start pe%d: %w", nm.ID, err))
 		}
 	}
 	for _, st := range up {
@@ -415,28 +388,23 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 		}
 	}
 	m.members = fleet
+	// Old internal edges are merged away (the edge is local now) or
+	// replaced by a fresh one under the same key.
 	for _, st := range internal {
-		if !newInternal[st.key] {
-			delete(m.streams, st.key) // merged away: the edge is local now
-		}
+		delete(m.streams, st.key)
+	}
+	for _, st := range fresh {
+		m.streams[st.key] = st
 	}
 	for _, u := range updates {
-		if u.replace {
-			m.streams[u.st.key] = u.st
-			continue
-		}
 		if u.exp != nil {
 			u.st.exp = u.exp
 		}
 		if u.imp != nil {
 			u.st.imp = u.imp
 		}
-		u.st.addr = u.addr
 		u.st.fromMember = u.fromMember
 		u.st.toMember = u.toMember
-	}
-	for _, st := range added {
-		m.streams[st.key] = st
 	}
 	m.allocated.Store(int64(len(fleet)))
 	m.gen.Add(1)
@@ -448,11 +416,11 @@ func (m *Manager) migrateGroup(first, count int, newRanges [][2]int) error {
 
 // quiesce waits (bounded by DrainTimeout) until the group is provably
 // quiet, requiring two consecutive passes with a settle gap.
-func (m *Manager) quiesce(group []*member, up, internal, down []*streamRT) bool {
+func (m *Manager) quiesce(rts []*pe.PERuntime, up, internal, down []*streamRT) bool {
 	deadline := time.Now().Add(m.drainTimeout)
 	settled := 0
 	for time.Now().Before(deadline) {
-		if m.quiet(group, up, internal, down) {
+		if quiet(rts, up, internal, down) {
 			settled++
 			if settled >= 2 {
 				return true
@@ -480,9 +448,9 @@ func (m *Manager) quiesce(group []*member, up, internal, down []*streamRT) bool 
 //     import's dedup watermark has caught the export's sequence high — the
 //     replacement export seeds there with an empty log, so a gap would
 //     never replay.
-func (m *Manager) quiet(group []*member, up, internal, down []*streamRT) bool {
-	for _, mem := range group {
-		if !mem.rt.Eng.WaitIdle(5 * time.Millisecond) {
+func quiet(rts []*pe.PERuntime, up, internal, down []*streamRT) bool {
+	for _, rt := range rts {
+		if !rt.Eng.WaitIdle(5 * time.Millisecond) {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"streamelastic/internal/core"
 	"streamelastic/internal/metrics"
+	"streamelastic/internal/obs"
 )
 
 // Status is one engine's externally visible state.
@@ -134,21 +135,16 @@ type Provider interface {
 	Statuses() []Status
 	// AdaptationTrace returns the trace of the indexed engine, or nil.
 	AdaptationTrace(index int) []core.TraceEvent
+	// Registries returns the telemetry registries behind /metrics. It is
+	// re-read on every scrape, so a fleet that resizes serves its current
+	// members' series.
+	Registries() []*obs.Registry
+	// FlightRecorder returns the recorder behind /flightz, or nil.
+	FlightRecorder() *obs.FlightRecorder
 }
 
-// Handler serves the monitoring API:
-//
-//	GET /statusz          -> []Status
-//	GET /tracez?pe=N      -> the adaptation trace of engine N (default 0)
-//	GET /sasoz?pe=N       -> SASO analysis of engine N's trace
-func Handler(p Provider) http.Handler {
-	mux := http.NewServeMux()
-	mountStatus(mux, p)
-	return mux
-}
-
-// mountStatus registers the status/trace/SASO routes on mux; Handler and
-// ObservabilityHandler share it.
+// mountStatus registers ObservabilityHandler's status, trace and SASO
+// routes on mux.
 func mountStatus(mux *http.ServeMux, p Provider) {
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, p.Statuses())

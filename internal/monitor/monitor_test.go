@@ -9,16 +9,23 @@ import (
 	"time"
 
 	"streamelastic/internal/core"
+	"streamelastic/internal/obs"
 )
 
 type fakeProvider struct {
 	statuses []Status
 	traces   map[int][]core.TraceEvent
+	regs     []*obs.Registry
+	fr       *obs.FlightRecorder
 }
 
 func (f fakeProvider) Statuses() []Status { return f.statuses }
 
 func (f fakeProvider) AdaptationTrace(i int) []core.TraceEvent { return f.traces[i] }
+
+func (f fakeProvider) Registries() []*obs.Registry { return f.regs }
+
+func (f fakeProvider) FlightRecorder() *obs.FlightRecorder { return f.fr }
 
 func newServer(t *testing.T) (*httptest.Server, fakeProvider) {
 	t.Helper()
@@ -39,7 +46,7 @@ func newServer(t *testing.T) (*httptest.Server, fakeProvider) {
 			},
 		},
 	}
-	srv := httptest.NewServer(Handler(p))
+	srv := httptest.NewServer(ObservabilityHandler(p))
 	t.Cleanup(srv.Close)
 	return srv, p
 }

@@ -190,28 +190,21 @@ func trimBuckets(buckets []uint64) []uint64 {
 //	GET /tracez?pe=N           -> adaptation trace of engine N as JSON rows
 //	GET /tracez.json?pe=N      -> the same trace as Chrome trace_event JSON
 //	GET /sasoz?pe=N            -> SASO analysis of engine N's trace
-//	GET /metrics               -> Prometheus text exposition over all regs
-//	GET /flightz               -> flight-recorder dump (404 when fr is nil)
+//	GET /metrics               -> Prometheus text exposition over p.Registries()
+//	GET /flightz               -> flight-recorder dump (404 without a recorder)
 //	GET /debug/pprof/...       -> net/http/pprof profiles
 //
-// It supersedes Handler for callers that hold registries; Handler remains
-// for status-only consumers.
-func ObservabilityHandler(p Provider, regs []*obs.Registry, fr *obs.FlightRecorder) http.Handler {
-	return ObservabilityHandlerDynamic(p, func() []*obs.Registry { return regs }, fr)
-}
-
-// ObservabilityHandlerDynamic is ObservabilityHandler for providers whose
-// registry set changes while serving — a cluster job manager grows and
-// shrinks its PE fleet, and each scrape must see the current members'
-// registries, not the launch-time snapshot.
-func ObservabilityHandlerDynamic(p Provider, regs func() []*obs.Registry, fr *obs.FlightRecorder) http.Handler {
+// Each scrape re-reads the provider's registries and recorder, so a
+// cluster's rows follow its fleet as it grows and shrinks.
+func ObservabilityHandler(p Provider) http.Handler {
 	mux := http.NewServeMux()
 	mountStatus(mux, p)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = obs.WritePrometheusAll(w, regs()...)
+		_ = obs.WritePrometheusAll(w, p.Registries()...)
 	})
 	mux.HandleFunc("/flightz", func(w http.ResponseWriter, r *http.Request) {
+		fr := p.FlightRecorder()
 		if fr == nil {
 			http.Error(w, "no flight recorder", http.StatusNotFound)
 			return

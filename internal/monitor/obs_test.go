@@ -104,8 +104,10 @@ func TestObservabilityHandler(t *testing.T) {
 	fr.Record(obs.EvAdapt, 0, 4, 3, "threading-model: queue placed")
 	p := fakeProvider{
 		statuses: []Status{BuildStatus("pe0", reg, nil)},
+		regs:     []*obs.Registry{reg},
+		fr:       fr,
 	}
-	srv := httptest.NewServer(ObservabilityHandler(p, []*obs.Registry{reg}, fr))
+	srv := httptest.NewServer(ObservabilityHandler(p))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -163,7 +165,7 @@ func TestObservabilityHandler(t *testing.T) {
 }
 
 func TestObservabilityHandlerNoRecorder(t *testing.T) {
-	srv := httptest.NewServer(ObservabilityHandler(fakeProvider{}, nil, nil))
+	srv := httptest.NewServer(ObservabilityHandler(fakeProvider{}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/flightz")
 	if err != nil {

@@ -88,5 +88,5 @@ func watchdogFor(rt *PERuntime, cfg monitor.WatchdogConfig, stallAfter time.Dura
 	if rt.Coord != nil {
 		freezer = rt.Coord
 	}
-	return monitor.NewWatchdog(fmt.Sprintf("pe%d", rt.Plan.PE), probes, freezer, cfg)
+	return monitor.NewWatchdog(fmt.Sprintf("pe%d", rt.ID), probes, freezer, cfg)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -81,6 +80,11 @@ type CheckpointOptions struct {
 type PERuntime struct {
 	// Plan is the PE's slice of the job graph.
 	Plan *Plan
+	// ID is the PE's identity: the tag on its recorder events, its
+	// /statusz name (pe<ID>), and the peer label its streams' far ends
+	// carry. A launched job's PE i has ID i; a cluster member keeps its
+	// stable member id while its fleet position (Plan.PE) moves.
+	ID int
 	// Eng is the PE's live engine.
 	Eng *exec.Engine
 	// Coord is the PE's elastic coordinator (nil when disabled).
@@ -103,15 +107,9 @@ type PERuntime struct {
 type Job struct {
 	PEs []*PERuntime
 
+	fleet   *Fleet
 	crosses []CrossEdge
-	conns   []net.Conn // both ends per stream, for shutdown
-
-	// regs holds one telemetry registry per PE; rec is the shared flight
-	// recorder; dump (guarded by dumpMu) receives automatic trip dumps.
-	regs   []*obs.Registry
-	rec    *obs.FlightRecorder
-	dumpMu sync.Mutex
-	dump   io.Writer
+	regs    []*obs.Registry // one per PE
 
 	mu      sync.Mutex
 	started bool
@@ -123,14 +121,6 @@ type Job struct {
 // An all-zero assignment launches a single engine with no streams. Call
 // Start to begin execution and Stop to shut down.
 func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
-	if opts.DialTimeout == 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.Checkpoint.Enabled && opts.Transport.RetransmitBytes == 0 {
-		// With acks gated at the checkpoint floor the window holds a whole
-		// commit interval's traffic, not a round trip's: default it larger.
-		opts.Transport.RetransmitBytes = gatedRetransmitBytes
-	}
 	plans, crosses, err := Partition(g, assign)
 	if err != nil {
 		return nil, err
@@ -138,7 +128,6 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 	if n := len(opts.WarmStart); n != 0 && n != len(plans) {
 		return nil, fmt.Errorf("pe: %d warm-start snapshots for %d PEs", n, len(plans))
 	}
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
 	// A one-PE job is a plain engine: its series stay unlabelled.
 	regs := make([]*obs.Registry, len(plans))
 	for i := range regs {
@@ -148,87 +137,12 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 			regs[i] = obs.NewRegistry(obs.Label{Key: "pe", Value: strconv.Itoa(i)})
 		}
 	}
-	job := &Job{crosses: crosses, regs: regs, rec: rec, dump: opts.FlightDump}
-	if opts.Fault != nil {
-		opts.Fault.SetObserver(func(ev fault.Event) {
-			rec.Record(obs.EvFault, -1, int64(ev.Site), int64(ev.N), ev.Point.String())
-		})
+	fleet := NewFleet(opts)
+	rts, err := fleet.Build(plans, crosses, regs)
+	if err != nil {
+		return nil, err
 	}
-
-	// Wire streams: one listener per cross edge on the receiving side, and
-	// the sending side dials.
-	listeners := make([]net.Listener, len(crosses))
-	defer func() {
-		for _, l := range listeners {
-			if l != nil {
-				_ = l.Close()
-			}
-		}
-	}()
-	for i := range crosses {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			job.closeConns()
-			return nil, fmt.Errorf("pe: listen stream %d: %w", i, err)
-		}
-		listeners[i] = l
-	}
-	abort := func() {
-		closeEndpoints(plans)
-		job.closeConns()
-	}
-	for i, ce := range crosses {
-		acceptCh := acceptOne(listeners[i])
-		addr := listeners[i].Addr().String()
-		sendConn, err := dialStream(addr, opts.DialTimeout)
-		if err != nil {
-			abort()
-			return nil, fmt.Errorf("pe: dial stream %d: %w", i, err)
-		}
-		acc := <-acceptCh
-		if acc.err != nil {
-			_ = sendConn.Close()
-			abort()
-			return nil, fmt.Errorf("pe: accept stream %d: %w", i, acc.err)
-		}
-		job.conns = append(job.conns, sendConn, acc.conn)
-
-		// Attach the endpoints to the matching stubs. The import adopts the
-		// listener (it re-accepts the export's redials after a connection
-		// death), so the deferred cleanup must not close it.
-		sender := plans[ce.FromPE]
-		for j, end := range sender.Exports {
-			if end.Stream == ce.Stream {
-				sender.exports[j].cfg = opts.Transport.withDefaults()
-				sender.exports[j].inj = opts.Fault
-				sender.exports[j].site = ce.Stream
-				sender.exports[j].rec = rec
-				sender.exports[j].recPE = int32(ce.FromPE)
-				sender.exports[j].connect(sendConn, addr)
-			}
-		}
-		receiver := plans[ce.ToPE]
-		for j, end := range receiver.Imports {
-			if end.Stream == ce.Stream {
-				receiver.imports[j].rec = rec
-				receiver.imports[j].recPE = int32(ce.ToPE)
-				receiver.imports[j].site = ce.Stream
-				receiver.imports[j].connect(acc.conn, listeners[i])
-				listeners[i] = nil // adopted by the import
-			}
-		}
-	}
-	registerTransportMetrics(regs, plans, crosses)
-
-	for _, plan := range plans {
-		rt, err := NewPERuntime(plan, regs[plan.PE], rec, opts, job.dumpOnTrip)
-		if err != nil {
-			abort()
-			return nil, err
-		}
-		job.PEs = append(job.PEs, rt)
-	}
-	return job, nil
+	return &Job{PEs: rts, fleet: fleet, crosses: crosses, regs: regs}, nil
 }
 
 // wireCheckpointer attaches a checkpoint coordinator to one PE: a durable
@@ -242,10 +156,11 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 // several imports still checkpoints and restores, but recovery is
 // restore-only: a single watermark cannot name a cut across several
 // independent wire-sequence domains.
-func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
+func wireCheckpointer(rt *PERuntime, opts Options) error {
+	plan := rt.Plan
 	var store state.Store
 	if opts.Checkpoint.Dir != "" {
-		log, err := state.OpenFileLog(filepath.Join(opts.Checkpoint.Dir, fmt.Sprintf("pe%d.ckpt", plan.PE)))
+		log, err := state.OpenFileLog(filepath.Join(opts.Checkpoint.Dir, fmt.Sprintf("pe%d.ckpt", rt.ID)))
 		if err != nil {
 			return err
 		}
@@ -273,20 +188,6 @@ func wireCheckpointer(rt *PERuntime, plan *Plan, opts Options) error {
 	return rt.Ckpt.Restore()
 }
 
-// closeEndpoints shuts down every stream endpoint wired so far; used when a
-// launch fails partway, so no writer goroutine is left redialing a dead
-// peer.
-func closeEndpoints(plans []*Plan) {
-	for _, plan := range plans {
-		for _, exp := range plan.exports {
-			exp.close()
-		}
-		for _, imp := range plan.imports {
-			imp.close()
-		}
-	}
-}
-
 // Start launches every PE's engine and adaptation loop.
 func (j *Job) Start(ctx context.Context) error {
 	j.mu.Lock()
@@ -303,8 +204,8 @@ func (j *Job) Start(ctx context.Context) error {
 	return nil
 }
 
-// Stop shuts the job down: adaptation loops first, then the streams (which
-// unblocks import readers), then the engines. Safe to call more than once.
+// Stop shuts the job down (see StopAll for the order). Safe to call more
+// than once.
 func (j *Job) Stop() {
 	j.mu.Lock()
 	if j.stopped {
@@ -313,45 +214,7 @@ func (j *Job) Stop() {
 	}
 	j.stopped = true
 	j.mu.Unlock()
-
-	// Watchdogs first: stopping one thaws its coordinator, and the
-	// shutdown below would otherwise look like one giant stall.
-	for _, rt := range j.PEs {
-		if rt.Watchdog != nil {
-			rt.Watchdog.Stop()
-		}
-	}
-	for _, rt := range j.PEs {
-		if rt.cancel != nil {
-			rt.cancel()
-			<-rt.done
-		}
-	}
-	// Checkpointers before the streams close: a recovery in flight may be
-	// rewinding an import and needs the transport still wired.
-	for _, rt := range j.PEs {
-		if rt.Ckpt != nil {
-			rt.Ckpt.Stop()
-		}
-	}
-	for _, rt := range j.PEs {
-		for _, exp := range rt.Plan.exports {
-			exp.close()
-		}
-		for _, imp := range rt.Plan.imports {
-			imp.close()
-		}
-	}
-	j.closeConns()
-	for _, rt := range j.PEs {
-		rt.Eng.Stop()
-	}
-}
-
-func (j *Job) closeConns() {
-	for _, c := range j.conns {
-		_ = c.Close()
-	}
+	StopAll(j.PEs)
 }
 
 // Streams returns the job's cross-PE edges.
@@ -437,36 +300,7 @@ func (j *Job) Health() []monitor.WatchdogStatus {
 // by timeout), then everything stops. It reports whether all PEs fully
 // drained.
 func (j *Job) DrainAndStop(timeout time.Duration) bool {
-	for _, rt := range j.PEs {
-		rt.Eng.Drain()
-	}
-	deadline := time.Now().Add(timeout)
-	drained := false
-	for time.Now().Before(deadline) {
-		all := true
-		for _, rt := range j.PEs {
-			if !rt.Eng.WaitIdle(10 * time.Millisecond) {
-				all = false
-				break
-			}
-		}
-		if all {
-			// Idle twice in a row with a settle gap: tuples may still be
-			// in flight on a TCP stream between PEs.
-			time.Sleep(20 * time.Millisecond)
-			again := true
-			for _, rt := range j.PEs {
-				if !rt.Eng.WaitIdle(10 * time.Millisecond) {
-					again = false
-					break
-				}
-			}
-			if again {
-				drained = true
-				break
-			}
-		}
-	}
+	drained := DrainAll(j.PEs, timeout)
 	j.Stop()
 	return drained
 }

@@ -1,7 +1,6 @@
 package pe
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 
@@ -59,41 +58,6 @@ func registerImportMetrics(r *obs.Registry, imp *importSource, stream int, peer 
 	r.SetCounterFunc(obs.MetricTransportResumes, "Connections re-accepted after the first.", imp.Resumes, l...)
 }
 
-// RegisterMetrics registers (or rebinds) the export's transport series on r
-// under (stream, dir=export, peer=peerPE) labels; peerPE must be numeric
-// because /statusz parses it back into a PE index.
-func (e *Export) RegisterMetrics(r *obs.Registry, stream, peerPE int) {
-	registerExportMetrics(r, e.x, stream, strconv.Itoa(peerPE))
-}
-
-// RegisterMetrics registers (or rebinds) the import's transport series on r
-// under (stream, dir=import, peer=peerPE) labels.
-func (im *Import) RegisterMetrics(r *obs.Registry, stream, peerPE int) {
-	registerImportMetrics(r, im.s, stream, strconv.Itoa(peerPE))
-}
-
-// registerTransportMetrics registers every cross-PE stream endpoint's
-// counters on its owning PE's registry, labeled (stream, dir, peer) so
-// /metrics and BuildStatus can group them back into per-stream rows.
-func registerTransportMetrics(regs []*obs.Registry, plans []*Plan, crosses []CrossEdge) {
-	for _, ce := range crosses {
-		sender := plans[ce.FromPE]
-		for j, end := range sender.Exports {
-			if end.Stream != ce.Stream {
-				continue
-			}
-			registerExportMetrics(regs[ce.FromPE], sender.exports[j], ce.Stream, strconv.Itoa(ce.ToPE))
-		}
-		receiver := plans[ce.ToPE]
-		for j, end := range receiver.Imports {
-			if end.Stream != ce.Stream {
-				continue
-			}
-			registerImportMetrics(regs[ce.ToPE], receiver.imports[j], ce.Stream, strconv.Itoa(ce.FromPE))
-		}
-	}
-}
-
 // registerWatchdogMetrics surfaces a PE watchdog's verdict and trip counters
 // on the PE's registry.
 func registerWatchdogMetrics(r *obs.Registry, wd *monitor.Watchdog) {
@@ -113,36 +77,19 @@ func registerWatchdogMetrics(r *obs.Registry, wd *monitor.Watchdog) {
 		func() uint64 { return wd.Status().Recovers })
 }
 
-// Registries returns every PE's telemetry registry, in PE order. Feed them
-// to monitor.ObservabilityHandler (or obs.WritePrometheusAll) for a merged
-// /metrics exposition; in a job of several PEs, series carry a pe="N"
-// label.
+// Registries returns every PE's telemetry registry, in PE order — the
+// merged /metrics exposition monitor.ObservabilityHandler serves for the
+// job (or obs.WritePrometheusAll writes); in a job of several PEs, series
+// carry a pe="N" label.
 func (j *Job) Registries() []*obs.Registry { return j.regs }
 
 // FlightRecorder returns the job's shared flight recorder: one bounded ring
 // over all PEs, events tagged with the PE that emitted them.
-func (j *Job) FlightRecorder() *obs.FlightRecorder { return j.rec }
+func (j *Job) FlightRecorder() *obs.FlightRecorder { return j.fleet.FlightRecorder() }
 
 // DumpFlight writes a flight-recorder dump with a reason header to w —
 // the on-demand counterpart of the automatic watchdog-trip dump.
-func (j *Job) DumpFlight(w io.Writer, reason string) {
-	j.dumpMu.Lock()
-	defer j.dumpMu.Unlock()
-	fmt.Fprintf(w, "=== flight-recorder dump (%s) ===\n", reason)
-	_ = j.rec.DumpTo(w)
-}
-
-// dumpOnTrip writes the automatic dump to Options.FlightDump, serialized so
-// two PEs tripping together interleave dumps, not lines.
-func (j *Job) dumpOnTrip(reason string) {
-	j.dumpMu.Lock()
-	defer j.dumpMu.Unlock()
-	if j.dump == nil {
-		return
-	}
-	fmt.Fprintf(j.dump, "=== flight-recorder dump (%s) ===\n", reason)
-	_ = j.rec.DumpTo(j.dump)
-}
+func (j *Job) DumpFlight(w io.Writer, reason string) { j.fleet.DumpFlight(w, reason) }
 
 var _ monitor.Provider = (*Job)(nil)
 
@@ -151,12 +98,7 @@ var _ monitor.Provider = (*Job)(nil)
 func (j *Job) Statuses() []monitor.Status {
 	out := make([]monitor.Status, 0, len(j.PEs))
 	for _, rt := range j.PEs {
-		var h *monitor.WatchdogStatus
-		if rt.Watchdog != nil {
-			st := rt.Watchdog.Status()
-			h = &st
-		}
-		out = append(out, monitor.BuildStatus(fmt.Sprintf("pe%d", rt.Plan.PE), rt.Reg, h))
+		out = append(out, rt.Status())
 	}
 	return out
 }

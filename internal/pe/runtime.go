@@ -7,31 +7,33 @@ import (
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
+	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
 )
 
 // NewPERuntime constructs one processing element from its plan: the engine,
 // the optional elastic coordinator, watchdog, and checkpointer, all
-// reporting into reg and rec. It is the per-PE half of Launch, exported so
-// the cluster job manager can build replacement PEs while a job runs.
-// dumpOnTrip (optional) receives a reason string each time the watchdog
-// trips. Stream endpoints must be wired before the runtime starts.
-func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts Options, dumpOnTrip func(string)) (*PERuntime, error) {
-	peID := int32(plan.PE)
+// reporting into reg and the fleet's flight recorder under the PE's id. A
+// watchdog trip dumps the recorder to Options.FlightDump when that is set.
+// Stream endpoints must be wired before the runtime starts.
+func (f *Fleet) NewPERuntime(plan *Plan, id int, reg *obs.Registry) (*PERuntime, error) {
+	opts, rec, peID := f.opts, f.rec, int32(id)
 	execOpts := opts.Exec
 	execOpts.Obs = reg
 	execOpts.Recorder = rec
-	execOpts.ObsPE = plan.PE
+	execOpts.ObsPE = id
 	execOpts.SampleEvery = opts.SampleEvery
 	if opts.Fault != nil {
 		execOpts.Fault = opts.Fault
+		// Operator fault sites stay keyed by fleet position, so a chaos
+		// plan names the same site whatever id a PE carries.
 		execOpts.FaultSiteBase = fault.OpSite(plan.PE, 0)
 	}
 	eng, err := exec.New(plan.Graph, execOpts)
 	if err != nil {
-		return nil, fmt.Errorf("pe %d: %w", plan.PE, err)
+		return nil, fmt.Errorf("pe %d: %w", id, err)
 	}
-	rt := &PERuntime{Plan: plan, Eng: eng, Reg: reg}
+	rt := &PERuntime{Plan: plan, ID: id, Eng: eng, Reg: reg}
 	if !opts.DisableElasticity {
 		cfg := opts.Elastic
 		if cfg == (core.Config{}) {
@@ -44,7 +46,7 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 			coord, err = core.NewCoordinator(eng, cfg)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("pe %d coordinator: %w", plan.PE, err)
+			return nil, fmt.Errorf("pe %d coordinator: %w", id, err)
 		}
 		coord.SetObserver(func(ev core.TraceEvent) {
 			detail := string(ev.Phase)
@@ -61,8 +63,8 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 		userTrip, userRecover := wcfg.OnTrip, wcfg.OnRecover
 		wcfg.OnTrip = func(cause string) {
 			rec.Record(obs.EvWatchdogTrip, peID, 0, 0, cause)
-			if dumpOnTrip != nil {
-				dumpOnTrip(fmt.Sprintf("watchdog trip pe%d: %s", peID, cause))
+			if opts.FlightDump != nil {
+				f.DumpFlight(opts.FlightDump, fmt.Sprintf("watchdog trip pe%d: %s", id, cause))
 			}
 			if userTrip != nil {
 				userTrip(cause)
@@ -78,8 +80,8 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 		registerWatchdogMetrics(rt.Reg, rt.Watchdog)
 	}
 	if opts.Checkpoint.Enabled {
-		if err := wireCheckpointer(rt, plan, opts); err != nil {
-			return nil, fmt.Errorf("pe %d checkpoint: %w", plan.PE, err)
+		if err := wireCheckpointer(rt, opts); err != nil {
+			return nil, fmt.Errorf("pe %d checkpoint: %w", id, err)
 		}
 	}
 	return rt, nil
@@ -102,7 +104,7 @@ func (rt *PERuntime) Trace() []core.TraceEvent {
 // checkpointer, in that order.
 func (rt *PERuntime) Start(ctx context.Context) error {
 	if err := rt.Eng.Start(ctx); err != nil {
-		return fmt.Errorf("pe %d start: %w", rt.Plan.PE, err)
+		return fmt.Errorf("pe %d start: %w", rt.ID, err)
 	}
 	if rt.Coord != nil {
 		actx, cancel := context.WithCancel(ctx)
@@ -124,29 +126,13 @@ func (rt *PERuntime) Start(ctx context.Context) error {
 	return nil
 }
 
-// StopControl halts the runtime's control loops — watchdog first (so the
-// shutdown is not mistaken for a stall), then the coordinator, then the
-// checkpointer — leaving the engine running. The migration executor calls
-// this before quiescing a retiring PE; Job.Stop orders the same phases
-// across all PEs instead.
-func (rt *PERuntime) StopControl() {
+// Status renders the PE's /statusz row, named pe<ID>, from its registry and
+// watchdog verdict.
+func (rt *PERuntime) Status() monitor.Status {
+	var h *monitor.WatchdogStatus
 	if rt.Watchdog != nil {
-		rt.Watchdog.Stop()
+		st := rt.Watchdog.Status()
+		h = &st
 	}
-	if rt.cancel != nil {
-		rt.cancel()
-		<-rt.done
-		rt.cancel = nil
-	}
-	if rt.Ckpt != nil {
-		rt.Ckpt.Stop()
-		rt.Ckpt = nil
-	}
-}
-
-// StopEngine stops the engine. Call after StopControl and after the plan's
-// stream endpoints are closed (a live import reader would otherwise block
-// on a parked operator thread).
-func (rt *PERuntime) StopEngine() {
-	rt.Eng.Stop()
+	return monitor.BuildStatus(fmt.Sprintf("pe%d", rt.ID), rt.Reg, h)
 }

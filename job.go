@@ -152,14 +152,7 @@ func (j *Job) Trace(peIndex int) []TraceEvent {
 // Runtime.MetricsHandler): /statusz, /tracez, /metrics merged over every
 // PE's registry (series carry a pe="N" label when there are several PEs),
 // /flightz, /tracez.json, and /debug/pprof.
-func (j *Job) MetricsHandler() http.Handler { return observability(j.job) }
-
-// observability serves a launched job's observability surface. The pe.Job
-// itself is the status provider, rendering each PE's Status from its
-// telemetry registry.
-func observability(j *pe.Job) http.Handler {
-	return monitor.ObservabilityHandler(j, j.Registries(), j.FlightRecorder())
-}
+func (j *Job) MetricsHandler() http.Handler { return monitor.ObservabilityHandler(j.job) }
 
 // Registries returns every PE's telemetry registry, in PE order.
 func (j *Job) Registries() []*obs.Registry { return j.job.Registries() }

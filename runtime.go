@@ -9,6 +9,7 @@ import (
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/metrics"
+	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
 	"streamelastic/internal/pe"
 )
@@ -162,7 +163,7 @@ func (r *Runtime) Trace() []TraceEvent { return r.pe.Trace() }
 // GET /tracez for the adaptation trace, GET /metrics for Prometheus text,
 // GET /flightz for a flight-recorder dump, GET /tracez.json for a Chrome
 // trace_event export, and /debug/pprof. Mount it on any mux or server.
-func (r *Runtime) MetricsHandler() http.Handler { return observability(r.job) }
+func (r *Runtime) MetricsHandler() http.Handler { return monitor.ObservabilityHandler(r.job) }
 
 // Registry returns the runtime's telemetry registry, for registering
 // application metrics or scraping programmatically.
