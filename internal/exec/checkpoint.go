@@ -52,6 +52,10 @@ type Checkpointer struct {
 
 	snaps  []state.Snapshotter // per node; nil = not a snapshotter
 	filter []bool              // per node; replay-filter ops skip recovery restores
+	// idle: no snapshotter and no input watermark, so a cut would capture
+	// nothing and commit nothing a recovery could use. CheckpointNow then
+	// takes no pause at all.
+	idle bool
 
 	recoverCh chan int
 	cutCh     chan struct{} // one pending RequestCut
@@ -64,7 +68,11 @@ type Checkpointer struct {
 	epoch     uint64
 	sinceFull int
 	floor     uint64 // watermark last handed to CommitFloor
-	enc       state.Encoder
+	// encs holds each snapshotter's encoding, reused from cut to cut: a
+	// cut's records alias it until the store has taken them (Store.Append
+	// retains no caller bytes), so a steady cut allocates no snapshot copy.
+	encs []state.Encoder
+	pend []pendingRec // the cut's records, reused likewise
 
 	total     *obs.Counter
 	errors    *obs.Counter
@@ -75,6 +83,7 @@ type Checkpointer struct {
 	lastWM    *obs.Gauge
 	lastEpoch *obs.Gauge
 	durHist   *obs.Histogram
+	pauseHist *obs.Histogram
 	bytesHist *obs.Histogram
 	dirtyHist *obs.Histogram
 }
@@ -96,12 +105,14 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 		cfg:       cfg,
 		snaps:     make([]state.Snapshotter, n),
 		filter:    make([]bool, n),
+		encs:      make([]state.Encoder, n),
 		recoverCh: make(chan int, n),
 		cutCh:     make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
 	recoverable := make([]bool, n)
+	c.idle = cfg.Watermark == nil
 	for i := 0; i < n; i++ {
 		op := e.g.Node(graph.NodeID(i)).Op
 		snap, ok := op.(state.Snapshotter)
@@ -110,6 +121,7 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 		}
 		snap.StateTrack(true)
 		c.snaps[i] = snap
+		c.idle = false
 		recoverable[i] = true
 		if _, ok := op.(state.ReplayFilter); ok {
 			c.filter[i] = true
@@ -128,6 +140,7 @@ func NewCheckpointer(e *Engine, cfg CheckpointConfig) *Checkpointer {
 	c.lastWM = r.Gauge(obs.MetricCkptWatermark, "Input watermark of the last committed checkpoint.")
 	c.lastEpoch = r.Gauge(obs.MetricCkptEpoch, "Epoch of the last committed checkpoint.")
 	c.durHist = r.Histogram(obs.MetricCkptDuration, "Wall time per checkpoint (pause through commit).")
+	c.pauseHist = r.Histogram(obs.MetricCkptPause, "Time the engine stays paused per checkpoint cut (snapshot under the barrier; the store write is not in it).")
 	c.bytesHist = r.Histogram(obs.MetricCkptBytes, "Snapshot bytes per checkpoint.")
 	c.dirtyHist = r.Histogram(obs.MetricCkptDirtyKeys, "Dirty keys captured per checkpoint.")
 	return c
@@ -228,17 +241,17 @@ func (c *Checkpointer) run() {
 // pendingRec is one operator snapshot captured under the pause, written to
 // the store after resume.
 type pendingRec struct {
-	op    int
-	data  []byte
-	dirty int
+	op   int
+	data []byte
 }
 
 // CheckpointNow takes one checkpoint: pause, snapshot every tracked
 // operator (full or incremental), stamp the transport watermark, resume,
 // then append + commit outside the pause. Returns whether an epoch was
-// committed.
+// committed. An idle checkpointer (no snapshotter, no input watermark)
+// takes no pause and commits nothing.
 func (c *Checkpointer) CheckpointNow() bool {
-	if c.e.stop.Load() {
+	if c.e.stop.Load() || c.idle {
 		return false
 	}
 	start := time.Now()
@@ -256,29 +269,33 @@ func (c *Checkpointer) CheckpointNow() bool {
 		c.skipped.Add(1)
 		return false
 	}
+	paused := time.Now()
 	var wm uint64
 	if c.cfg.Watermark != nil {
 		wm = c.cfg.Watermark()
 	}
-	var pend []pendingRec
+	pend := c.pend[:0]
 	dirtyTotal := 0
 	for i, snap := range c.snaps {
 		if snap == nil {
 			continue
 		}
-		c.enc.Reset()
-		dirty := snap.StateSnapshot(&c.enc, full)
+		enc := &c.encs[i]
+		enc.Reset()
+		dirty := snap.StateSnapshot(enc, full)
 		if !full && dirty == 0 {
 			continue // nothing changed since the last checkpoint
 		}
 		dirtyTotal += dirty
-		pend = append(pend, pendingRec{op: i, data: append([]byte(nil), c.enc.Bytes()...), dirty: dirty})
+		pend = append(pend, pendingRec{op: i, data: enc.Bytes()})
 	}
+	c.pend = pend
+	c.pauseHist.Observe(time.Since(paused))
 	c.e.resumeAll()
 	c.e.reconfigMu.Unlock()
 
-	// Persist outside the pause: the captured bytes are private copies, so
-	// the engine runs while the store writes.
+	// Persist outside the pause: the captured bytes live in the
+	// checkpointer's own encoders, so the engine runs while the store writes.
 	epoch := c.epoch + 1
 	inj := c.e.opts.Fault
 	site := c.e.opts.ObsPE

@@ -461,3 +461,91 @@ func TestRequestCutCoalescesAndYieldsToQuarantine(t *testing.T) {
 		t.Fatalf("after 1+5 requests and one under quarantine: %+v, want 2 checkpoints, both on request, none skipped", st)
 	}
 }
+
+// TestIncrementalCheckpointAllocs pins a steady cut's garbage: with one
+// KeyedCounter over a FileLog, an incremental CheckpointNow reuses the
+// operator's encoding buffer and the log's frame scratch, so after warm-up
+// it allocates at most once — no copy of the snapshot, no per-record body.
+func TestIncrementalCheckpointAllocs(t *testing.T) {
+	log, err := state.OpenFileLog(t.TempDir() + "/pe.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ctr, _ := newTestCheckpointer(t, Options{}, CheckpointConfig{Store: log, FullEvery: 1 << 30})
+	defer c.Stop()
+	tup := &spl.Tuple{}
+	k := uint64(0)
+	cut := func() {
+		for i := 0; i < 32; i++ {
+			tup.Key = k % 1024
+			ctr.Process(0, tup, spl.DiscardEmitter)
+			k += 7
+		}
+		if !c.CheckpointNow() {
+			t.Fatal("checkpoint did not commit")
+		}
+	}
+	for i := 0; i < 64; i++ { // one full, then incrementals that size the buffers
+		cut()
+	}
+	if got := testing.AllocsPerRun(200, cut); got > 1 {
+		t.Fatalf("incremental CheckpointNow allocates %.1f times per cut, want <= 1", got)
+	}
+	if st := c.Stats(); st.Errors != 0 {
+		t.Fatalf("checkpoint errors: %+v", st)
+	}
+}
+
+// TestIdleCheckpointerTakesNoCut pins that a checkpointer with nothing to
+// capture — no snapshotter and no input watermark — neither pauses nor
+// commits: a PE that only exports would otherwise stop its engine every
+// interval to write an empty epoch.
+func TestIdleCheckpointerTakesNoCut(t *testing.T) {
+	newEngine := func() *Engine {
+		g := graph.New()
+		gen := spl.NewGenerator("src", 8)
+		gen.MaxTuples = 1
+		src := g.AddSource(gen, nil)
+		sid := g.AddOperator(spl.NewCountingSink("snk"), nil)
+		if err := g.Connect(src, 0, sid, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	store := state.NewMemStore()
+	c := NewCheckpointer(newEngine(), CheckpointConfig{Store: store})
+	if c.CheckpointNow() {
+		t.Fatal("idle checkpointer committed an epoch")
+	}
+	if st := c.Stats(); st.Checkpoints != 0 || st.Skipped != 0 || st.StatefulOps != 0 {
+		t.Fatalf("idle checkpointer stats %+v, want no activity", st)
+	}
+	if recs, _ := store.Load(); len(recs) != 0 {
+		t.Fatalf("idle checkpointer stored %d records", len(recs))
+	}
+	if n := c.pauseHist.Snapshot().Count; n != 0 {
+		t.Fatalf("idle checkpointer paused the engine %d times", n)
+	}
+
+	// With an input watermark the same graph does cut: the commit is what
+	// advances a gated import's ack floor.
+	var floor uint64
+	c2 := NewCheckpointer(newEngine(), CheckpointConfig{
+		Store:       state.NewMemStore(),
+		Watermark:   func() uint64 { return 9 },
+		CommitFloor: func(wm uint64) { floor = wm },
+	})
+	if !c2.CheckpointNow() || floor != 9 {
+		t.Fatalf("watermarked checkpointer: floor %d, want a commit at 9", floor)
+	}
+	if n := c2.pauseHist.Snapshot().Count; n != 1 {
+		t.Fatalf("watermarked cut recorded %d pauses, want 1", n)
+	}
+}

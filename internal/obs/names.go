@@ -86,6 +86,10 @@ const (
 	MetricCkptWatermark = "checkpoint_watermark"
 	MetricCkptEpoch     = "checkpoint_epoch"
 	MetricCkptDuration  = "checkpoint_duration_seconds"
+	// MetricCkptPause is the part of a cut the engine is paused for: from
+	// the pause barrier closing to its release, snapshots included and the
+	// store write excluded.
+	MetricCkptPause     = "checkpoint_pause_seconds"
 	MetricCkptBytes     = "checkpoint_bytes"
 	MetricCkptDirtyKeys = "checkpoint_dirty_keys"
 )

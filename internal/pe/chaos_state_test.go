@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +17,7 @@ import (
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
+	"streamelastic/internal/obs"
 	"streamelastic/internal/spl"
 )
 
@@ -321,5 +326,91 @@ func TestChaosStateStorageFaultsDegradeGracefully(t *testing.T) {
 	}
 	if got := inj.Fires(fault.CkptCorrupt, 1); got != 1 {
 		t.Errorf("checkpoint corruption fired %d times, want 1", got)
+	}
+}
+
+// TestExportOnlyPETakesNoCut runs the keyed job with checkpointing to a
+// file log. PE0 only generates and exports: no stateful operator and no
+// gated import, so its checkpointer has nothing to capture and must take no
+// cut — no pause, no empty epoch in pe0.ckpt — while PE1 cuts every
+// interval. The output stays exactly-once, and a relaunch from the same
+// directory restores PE1's last committed epoch.
+func TestExportOnlyPETakesNoCut(t *testing.T) {
+	dir := t.TempDir()
+	const interval = 10 * time.Millisecond
+	launch := func() (*Job, *graph.Graph, *byteSink) {
+		g, sink := keyedJoinJob(t)
+		job, err := Launch(g, Assignment{0, 1, 1, 1, 1}, Options{
+			DisableElasticity: true,
+			Transport:         TransportConfig{BlockTimeout: time.Minute, RetransmitBytes: 4 * logBlockBytes},
+			Checkpoint:        CheckpointOptions{Enabled: true, Dir: dir, Interval: interval},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job, g, sink
+	}
+	job, _, sink := launch()
+	if err := job.Start(context.Background()); err != nil {
+		job.Stop()
+		t.Fatal(err)
+	}
+	// Wait for the whole output and for at least three interval cuts on
+	// PE1 — so PE0's ticker has fired at least as often.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st := job.CheckpointStats()[1]
+		if sink.count.Load() >= chaosStateWant && st.Checkpoints-st.Pressure >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			job.Stop()
+			t.Fatalf("sink %d of %d tuples, PE1 stats %+v", sink.count.Load(), chaosStateWant, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !job.DrainAndStop(30 * time.Second) {
+		t.Fatal("job did not drain")
+	}
+	if !bytes.Equal(sink.output(), goldenOutput()) {
+		t.Fatal("output differs from golden")
+	}
+	stats := job.CheckpointStats()
+	if st := stats[0]; st.Checkpoints != 0 || st.Skipped != 0 || st.Errors != 0 || st.StatefulOps != 0 {
+		t.Fatalf("export-only PE0 checkpoint stats %+v, want no cut", st)
+	}
+	if stats[1].Checkpoints < 3 || stats[1].Errors != 0 {
+		t.Fatalf("PE1 checkpoint stats %+v, want >= 3 cuts and no errors", stats[1])
+	}
+	var metrics bytes.Buffer
+	if err := obs.WritePrometheusAll(&metrics, job.Registries()...); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		obs.MetricCkptTotal + `{pe="0"} 0`,
+		obs.MetricCkptPause + `_count{pe="0"} 0`,
+		obs.MetricCkptPause + `_count{pe="1"} ` + strconv.FormatUint(stats[1].Checkpoints, 10),
+	} {
+		if !strings.Contains(metrics.String(), series+"\n") {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "pe0.ckpt")); err != nil || fi.Size() != 0 {
+		t.Fatalf("pe0.ckpt: %v, want an empty log (stat error %v)", fi, err)
+	}
+
+	// Relaunch from the same logs: PE1 restores its committed join table,
+	// PE0 has nothing to restore.
+	job2, g2, _ := launch()
+	defer job2.Stop()
+	re := job2.CheckpointStats()
+	if re[1].Restores != 1 || re[1].Epoch == 0 || re[1].Epoch > stats[1].Epoch {
+		t.Fatalf("relaunched PE1 %+v, want one restore of an epoch in [1, %d]", re[1], stats[1].Epoch)
+	}
+	if n := g2.Node(2).Op.(*spl.KeyedJoin).Size(); n != chaosStateKeys {
+		t.Fatalf("relaunched join holds %d keys, want %d", n, chaosStateKeys)
+	}
+	if re[0].Restores != 0 || re[0].Epoch != 0 {
+		t.Fatalf("relaunched PE0 %+v, want nothing restored", re[0])
 	}
 }

@@ -218,10 +218,15 @@ func TestChaosWatchdogFreezesAdaptation(t *testing.T) {
 		Elastic:        core.DefaultConfig(),
 		Fault:          inj,
 		EnableWatchdog: true,
+		// HealthyAfter holds the trip 200 ms past the stall: the stalled
+		// edge also holds the coordinator's first ApplyPlacement in the
+		// pause barrier for the whole stall (a producer waiting for edge
+		// space never parks), so the coordinator only steps — and records
+		// frozen events — once the barrier releases.
 		Watchdog: monitor.WatchdogConfig{
 			Interval:       10 * time.Millisecond,
 			UnhealthyAfter: 2,
-			HealthyAfter:   4,
+			HealthyAfter:   20,
 		},
 		StallAfter: 30 * time.Millisecond,
 	})

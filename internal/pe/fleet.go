@@ -30,8 +30,10 @@ func NewFleet(opts Options) *Fleet {
 		opts.DialTimeout = 5 * time.Second
 	}
 	if opts.Checkpoint.Enabled && opts.Transport.RetransmitBytes == 0 {
-		// With acks gated at the checkpoint floor the window holds a whole
-		// commit interval's traffic, not a round trip's: default it larger.
+		// With acks gated at the checkpoint floor the window holds the
+		// traffic since the last commit, not a round trip's: default it
+		// larger. The import cuts at half of it, so this is memory against
+		// cut rate (see TransportConfig.RetransmitBytes).
 		opts.Transport.RetransmitBytes = gatedRetransmitBytes
 	}
 	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)

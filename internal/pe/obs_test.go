@@ -12,8 +12,10 @@ import (
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
+	"streamelastic/internal/graph"
 	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
+	"streamelastic/internal/spl"
 )
 
 // syncBuf is an io.Writer safe to read while the watchdog goroutine dumps
@@ -280,4 +282,77 @@ func TestPressureCutsCarryTheStreamAndShowUp(t *testing.T) {
 	if asked < st.Pressure {
 		t.Errorf("%d pressure-cut events for %d pressure cuts", asked, st.Pressure)
 	}
+}
+
+// TestDefaultGatedWindowCarriesTheStream runs a checkpointed two-PE job on
+// the default transport budget with the periodic tick effectively off, so
+// only commit-on-pressure cuts can free the sender's window. The export's
+// block log gets the gated default (16 MiB) and the import asks for a cut at
+// half of it; ~40 MiB of 1 KiB tuples must then arrive exactly once through
+// at least three pressure cuts, the window never holding more than the
+// budget.
+func TestDefaultGatedWindowCarriesTheStream(t *testing.T) {
+	const n = 40_000
+	g := graph.New()
+	gen := spl.NewGenerator("src", 1024)
+	gen.MaxTuples = n
+	src := g.AddSource(gen, spl.NewCostVar(0))
+	sink := newSeqSink()
+	sid := g.AddOperator(sink, spl.NewCostVar(0))
+	if err := g.Connect(src, 0, sid, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	job, err := Launch(g, Assignment{0, 1}, Options{
+		DisableElasticity: true,
+		Transport:         TransportConfig{BlockTimeout: time.Minute},
+		Checkpoint:        CheckpointOptions{Enabled: true, Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := job.PEs[0].Plan.exports[0]
+	const budget = 16 << 20
+	if exp.log.budget != budget {
+		t.Fatalf("export log budget %d, want the 16 MiB gated default", exp.log.budget)
+	}
+	if high := job.PEs[1].Plan.imports[0].pressHigh.Load(); high != budget/2 {
+		t.Fatalf("import pressure mark %d, want 8 MiB", high)
+	}
+	if err := job.Start(context.Background()); err != nil {
+		job.Stop()
+		t.Fatal(err)
+	}
+	var peak int64
+	deadline := time.Now().Add(60 * time.Second)
+	for sink.count.Load() < n && time.Now().Before(deadline) {
+		if w := exp.UnackedBytes(); w > peak {
+			peak = w
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	if got := sink.count.Load(); got < n {
+		job.Stop()
+		t.Fatalf("stream stalled at %d of %d tuples: pressure cuts did not free the window", got, n)
+	}
+	if !job.DrainAndStop(30 * time.Second) {
+		t.Fatal("job did not drain")
+	}
+	if sink.dups != 0 || len(sink.seen) != n {
+		t.Fatalf("%d distinct tuples and %d duplicates, want %d and 0", len(sink.seen), sink.dups, n)
+	}
+	ss := job.StreamStats()[0]
+	if ss.BytesSent < 3*8<<20 {
+		t.Fatalf("only %d wire bytes sent, want at least three pressure marks' worth", ss.BytesSent)
+	}
+	if peak <= 0 || peak > budget {
+		t.Fatalf("window gauge peaked at %d bytes, want within (0, %d]", peak, budget)
+	}
+	st := job.CheckpointStats()[1]
+	if st.Pressure < 3 || st.Pressure != st.Checkpoints {
+		t.Fatalf("pressure cuts %d of %d checkpoints, want at least 3 and all of them", st.Pressure, st.Checkpoints)
+	}
+	t.Logf("%d wire bytes, %d pressure cuts, window peak %d bytes", ss.BytesSent, st.Pressure, peak)
 }

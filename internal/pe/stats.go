@@ -21,7 +21,7 @@ type TransportConfig struct {
 	BlockTimeout time.Duration
 	// RetransmitBytes is the byte budget of the export's block log — the
 	// block memory holding encoded frames until the receiver acknowledges
-	// them (default 1 MiB, four acknowledgement periods; 128 MiB when Launch
+	// them (default 1 MiB, four acknowledgement periods; 16 MiB when Launch
 	// gates acks at the checkpoint floor; at least two 64 KiB blocks). It
 	// bounds both resume traffic after a reconnect and the memory held per
 	// stream, and a spent budget blocks producers until acknowledgements
@@ -31,7 +31,11 @@ type TransportConfig struct {
 	// memory every byte of which is written and read once per pass, and which
 	// stays cache-resident only while it is short. A checkpoint-gated import
 	// asks for an early cut once half of the budget has arrived past the last
-	// commit.
+	// commit, so a gated budget trades memory for cut rate: 16 MiB holds the
+	// standing replay window near 8 MiB at the price of a cut per 8 MiB of
+	// traffic. Raise it for a job whose cut pauses the PE for more than ~10
+	// ms and that cuts several times a second: each doubling halves the cut
+	// rate and doubles the memory held.
 	RetransmitBytes int
 	// ReconnectBaseDelay/ReconnectMaxDelay bound the export's redial
 	// backoff after a lost connection: capped exponential growth from base
@@ -44,7 +48,7 @@ type TransportConfig struct {
 const (
 	defaultBlockTimeout    = time.Second
 	defaultRetransmitBytes = 1 << 20
-	gatedRetransmitBytes   = 128 << 20
+	gatedRetransmitBytes   = 16 << 20
 	defaultReconnectBase   = 10 * time.Millisecond
 	defaultReconnectMax    = 500 * time.Millisecond
 )

@@ -168,43 +168,36 @@ func parseRecord(b []byte) (logRec, int, parseStatus) {
 	return rec, size, parseOK
 }
 
-// frame encodes one record into l.scr.
-func (l *FileLog) frame(kind byte, body []byte) []byte {
-	need := recHeaderBytes + len(body)
-	if cap(l.scr) < need {
-		l.scr = make([]byte, need)
+// frame encodes one record straight into the scratch buffer l.scr —
+// header, then body, with no intermediate copy — and returns it: rec's data
+// record for recKindData, the commit record of rec.Epoch for recKindCommit.
+// The buffer is valid until the next frame.
+func (l *FileLog) frame(kind byte, rec Record) []byte {
+	buf := append(l.scr[:0], logMagic, kind, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = binary.AppendUvarint(buf, rec.Epoch)
+	if kind == recKindData {
+		buf = binary.AppendUvarint(buf, uint64(rec.Op))
+		flags := byte(0)
+		if rec.Full {
+			flags |= 1
+		}
+		buf = append(buf, flags)
+		buf = binary.AppendUvarint(buf, rec.Watermark)
+		buf = append(buf, rec.Data...)
 	}
-	buf := l.scr[:need]
-	buf[0] = logMagic
-	buf[1] = kind
-	h := crc32.NewIEEE()
-	h.Write([]byte{kind})
-	h.Write(body)
-	binary.LittleEndian.PutUint32(buf[2:6], h.Sum32())
+	body := buf[recHeaderBytes:]
+	crc := crc32.Update(0, crc32.IEEETable, buf[1:2])
+	binary.LittleEndian.PutUint32(buf[2:6], crc32.Update(crc, crc32.IEEETable, body))
 	binary.LittleEndian.PutUint32(buf[6:10], uint32(len(body)))
-	copy(buf[recHeaderBytes:], body)
+	l.scr = buf
 	return buf
-}
-
-func dataBody(rec Record) []byte {
-	var e Encoder
-	e.Uvarint(rec.Epoch)
-	e.Uvarint(uint64(rec.Op))
-	flags := byte(0)
-	if rec.Full {
-		flags |= 1
-	}
-	e.Byte(flags)
-	e.Uvarint(rec.Watermark)
-	e.buf = append(e.buf, rec.Data...)
-	return e.buf
 }
 
 // Append stages one data record.
 func (l *FileLog) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, err := l.f.Write(l.frame(recKindData, dataBody(rec)))
+	_, err := l.f.Write(l.frame(recKindData, rec))
 	return err
 }
 
@@ -214,7 +207,7 @@ func (l *FileLog) Append(rec Record) error {
 func (l *FileLog) AppendTorn(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	frame := l.frame(recKindData, dataBody(rec))
+	frame := l.frame(recKindData, rec)
 	cut := len(frame)/2 + 1
 	if _, err := l.f.Write(frame[:cut]); err != nil {
 		return err
@@ -241,7 +234,7 @@ func (l *FileLog) AppendTorn(rec Record) error {
 func (l *FileLog) AppendCorrupt(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	frame := l.frame(recKindData, dataBody(rec))
+	frame := l.frame(recKindData, rec)
 	pos, err := l.f.Seek(0, 1)
 	if err != nil {
 		return err
@@ -263,12 +256,8 @@ func (l *FileLog) AppendCorrupt(rec Record) error {
 func (l *FileLog) Commit(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var e Encoder
-	e.Uvarint(epoch)
-	if _, err := l.f.Write(l.frame(recKindCommit, e.Bytes())); err != nil {
-		return err
-	}
-	return nil
+	_, err := l.f.Write(l.frame(recKindCommit, Record{Epoch: epoch}))
+	return err
 }
 
 // Load returns records of committed epochs in append order.
@@ -323,11 +312,11 @@ func (l *FileLog) Compact(keepEpoch uint64) error {
 			continue
 		}
 		if r.kind == recKindData {
-			body := dataBody(Record{
+			frame := l.frame(recKindData, Record{
 				Epoch: r.epoch, Op: int32(r.op), Full: r.full,
 				Watermark: r.watermark, Data: r.data,
 			})
-			if _, err := nf.Write(l.frame(recKindData, body)); err != nil {
+			if _, err := nf.Write(frame); err != nil {
 				nf.Close()
 				os.Remove(tmp)
 				return err
@@ -338,9 +327,7 @@ func (l *FileLog) Compact(keepEpoch uint64) error {
 			continue
 		}
 		written[r.epoch] = true
-		var e Encoder
-		e.Uvarint(r.epoch)
-		if _, err := nf.Write(l.frame(recKindCommit, e.Bytes())); err != nil {
+		if _, err := nf.Write(l.frame(recKindCommit, Record{Epoch: r.epoch})); err != nil {
 			nf.Close()
 			os.Remove(tmp)
 			return err

@@ -19,7 +19,8 @@ type Record struct {
 // epochs, which is how a crash mid-checkpoint (CkptCrash) degrades to
 // "recover from the previous epoch" instead of a torn restore.
 type Store interface {
-	// Append stages one record of the current epoch.
+	// Append stages one record of the current epoch. It must not retain
+	// rec.Data once it returns: callers reuse the buffer for the next cut.
 	Append(rec Record) error
 	// Commit marks epoch durable.
 	Commit(epoch uint64) error
